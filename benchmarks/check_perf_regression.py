@@ -55,7 +55,7 @@ METRICS = [
     ("result_cache", "replay_speedup"),
 ]
 
-#: ditto for BENCH_scale.json (the P=1024 array-engine harness)
+#: ditto for BENCH_scale.json (the P=1024 fast-lane harness)
 SCALE_METRICS = [
     ("scale_sweep", "speedup"),
     ("scale_sweep", "optimized_events_per_s"),

@@ -338,14 +338,14 @@ def test_recorder_identity_and_overhead():
     assert len(rec.events) > 0
 
     # wall-clock: recorder off vs on, interleaved best-of-REPS.  The
-    # array engine's fast lane disables itself whenever observability is
-    # attached (DESIGN.md §15), so measuring recorder overhead with the
-    # lane active on the off side would conflate two effects; pin the
-    # object engine so the ratio isolates the recorder's own cost.
+    # fast lane disables itself whenever observability is attached
+    # (DESIGN.md §15), so measuring recorder overhead with the lane
+    # active on the off side would conflate two effects; turn it off so
+    # the ratio isolates the recorder's own cost.
     off_times, on_times = [], []
     n_events = None
-    saved_env = os.environ.get("REPRO_ARRAY_ENGINE")
-    os.environ["REPRO_ARRAY_ENGINE"] = "0"
+    saved_env = os.environ.get("REPRO_FASTLANE")
+    os.environ["REPRO_FASTLANE"] = "0"
     try:
         for _ in range(REPS):
             uninstall()
@@ -364,9 +364,9 @@ def test_recorder_identity_and_overhead():
             n_events = len(rec.events)
     finally:
         if saved_env is None:
-            del os.environ["REPRO_ARRAY_ENGINE"]
+            del os.environ["REPRO_FASTLANE"]
         else:
-            os.environ["REPRO_ARRAY_ENGINE"] = saved_env
+            os.environ["REPRO_FASTLANE"] = saved_env
 
     off, on = min(off_times), min(on_times)
     _record("recorder", {

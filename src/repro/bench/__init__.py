@@ -27,6 +27,7 @@ from .overlap import (
     OverlapConfig,
     OverlapResult,
     ResilientOverlapResult,
+    default_iterations,
     function_set_for,
     run_overlap,
     run_overlap_resilient,
@@ -60,6 +61,7 @@ __all__ = [
     "SweepResult",
     "VerificationResult",
     "bench_seed",
+    "default_iterations",
     "derive_seed",
     "fft_methods",
     "format_bars",

@@ -45,6 +45,7 @@ __all__ = [
     "OverlapConfig",
     "OverlapResult",
     "ResilientOverlapResult",
+    "default_iterations",
     "function_set_for",
     "run_overlap",
     "run_overlap_resilient",
@@ -86,6 +87,18 @@ def function_set_for(operation: str) -> FunctionSet:
         f"unknown benchmark operation {operation!r}; "
         f"expected one of {', '.join(sorted(OPERATION_KINDS))}"
     )
+
+
+def default_iterations(operation: str, evals: int) -> int:
+    """Simulated iterations a tune needs by default to reach a decision.
+
+    Brute force measures every candidate ``evals`` times; ``evals`` more
+    iterations then run the winner once the decision is made.  Sized by
+    the function set, so operations with many candidates (bcast: 21)
+    decide too.  The one source of the default for ``repro tune`` and
+    for tuning-service requests.
+    """
+    return len(function_set_for(operation)) * evals + evals
 
 
 @dataclass(frozen=True)

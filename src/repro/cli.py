@@ -65,6 +65,7 @@ from .bench import (
     OPERATION_KINDS,
     OverlapConfig,
     ResultCache,
+    default_iterations,
     fft_methods,
     format_bars,
     format_table,
@@ -90,6 +91,9 @@ from .sim import FaultPlan, RankCrash, available_platforms, get_platform
 from .units import fmt_time, parse_size
 
 __all__ = ["main", "build_parser"]
+
+#: iterations a sweep simulates per candidate unless --iterations is set
+SWEEP_ITERATIONS = 20
 
 
 def _parse_fault_plan(spec: str) -> FaultPlan:
@@ -143,8 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total loop compute seconds (paper convention)")
         p.add_argument("--loop-iterations", type=int, default=1000,
                        help="paper loop length the compute is spread over")
-        p.add_argument("--iterations", type=int, default=20,
-                       help="iterations actually simulated")
+        p.add_argument("--iterations", type=int, default=None,
+                       help="iterations actually simulated (default: tune "
+                            "runs candidates x evals + evals, enough to "
+                            f"decide; sweep runs {SWEEP_ITERATIONS})")
         p.add_argument("--nprogress", type=int, default=5)
         p.add_argument("--operation", default="alltoall",
                        choices=sorted(OPERATION_KINDS))
@@ -463,27 +469,6 @@ def _print_stats(wall: float, events: int, cache: Optional[ResultCache],
             print(f"fast lane             {batched} syscalls batched "
                   f"({batched / max(dispatched, 1):.1%} of dispatched "
                   f"events)")
-        # pool_<name>_<field> keys from Simulator.stats(); names may
-        # themselves contain underscores, so match on the field suffix
-        fields = ("capacity", "in_use", "high_water", "acquires",
-                  "recycled", "grows", "armed")
-        pools: dict = {}
-        for key, value in engine.items():
-            if not key.startswith("pool_"):
-                continue
-            for field in fields:
-                if key.endswith("_" + field):
-                    name = key[len("pool_"):-len(field) - 1]
-                    pools.setdefault(name, {})[field] = value
-                    break
-        for name in sorted(pools):
-            p = pools[name]
-            used = p.get("in_use", p.get("armed", 0))
-            print(f"pool {name:<16} {used}/{p.get('capacity', 0)} in use, "
-                  f"high-water {p.get('high_water', 0)}"
-                  + (f", {p.get('recycled', 0)} recycled, "
-                     f"{p.get('grows', 0)} grows"
-                     if "recycled" in p else ""))
     sstats = schedule_cache_stats()
     print(f"schedule cache        hit rate {sstats['hit_rate']:.1%} "
           f"({sstats['hits']} hits / {sstats['misses']} misses, "
@@ -540,6 +525,16 @@ def _write_obs_outputs(args, scenario: str, tasks, audit, metrics,
         print(f"metrics written to {args.metrics}")
 
 
+def _iterations(args) -> int:
+    """``--iterations``, or its default: enough for a tune to decide."""
+    if args.iterations is not None:
+        return args.iterations
+    evals = getattr(args, "evals", None)
+    if evals is None:
+        return SWEEP_ITERATIONS
+    return default_iterations(args.operation, evals)
+
+
 def _overlap_config(args) -> OverlapConfig:
     faults = args.faults
     crashes = getattr(args, "crash", None)
@@ -553,7 +548,7 @@ def _overlap_config(args) -> OverlapConfig:
         nbytes=args.nbytes,
         compute_total=args.compute,
         paper_iterations=args.loop_iterations,
-        iterations=args.iterations,
+        iterations=_iterations(args),
         nprogress=args.nprogress,
         faults=faults,
         reliable=not getattr(args, "unreliable", False),
@@ -622,7 +617,7 @@ def _serve_request(args) -> dict:
         "nbytes": args.nbytes,
         "compute_total": args.compute,
         "paper_iterations": args.loop_iterations,
-        "iterations": args.iterations,
+        "iterations": _iterations(args),
         "nprogress": args.nprogress,
         "selector": getattr(args, "selector", "brute_force"),
         "evals": getattr(args, "evals", 3),

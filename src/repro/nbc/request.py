@@ -23,7 +23,7 @@ from typing import Union, Optional
 
 import numpy as np
 
-from ..errors import ScheduleError
+from ..errors import CommRevokedError, ScheduleError
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import RecvRequest, Waitable
 from .schedule import CompiledSchedule, Schedule, resolve
@@ -96,7 +96,10 @@ class NBCRequest(Waitable):
         local_rank: int,
         buffers: Optional[dict] = None,
     ):
-        super().__init__()
+        # flat init, as in SendRequest/RecvRequest: one per invocation
+        self.done = False
+        self.failed = None
+        self._notify = None
         self.schedule = schedule
         self.comm = comm
         self.local_rank = local_rank
@@ -185,32 +188,13 @@ class NBCRequest(Waitable):
         comm = self.comm
         tag_base = self.tag_base
         child_done = self._child_done
+        if buffers is None:
+            self._post_sizes(ctx, ops, comm, tag_base, child_done)
+            return
         # guard: eager sends / instantly-matched recvs fire their notify
         # synchronously inside the post call; the sentinel keeps _pending
         # positive until every op of the round has been posted
         self._pending += 1
-        if buffers is None:
-            # size-only fast path: no buffer resolution, no data movement
-            # (performance sweeps post thousands of these rounds)
-            for op in ops:
-                kind = op.kind
-                if kind == "send":
-                    self._pending += 1
-                    # positional args: this is the sweep hot loop
-                    ctx.isend(op.peer, op.nbytes, tag_base + op.tagoff,
-                              comm, None, child_done)
-                elif kind == "recv":
-                    self._pending += 1
-                    ctx.irecv(op.peer, op.nbytes, tag_base + op.tagoff,
-                              comm, child_done)
-                elif kind == "copy":
-                    ctx.charge_copy(op.nbytes)
-                elif kind == "combine":
-                    ctx.charge_copy(2 * op.nbytes)
-                else:  # pragma: no cover - schedule.validate() prevents this
-                    raise ScheduleError(f"unknown op kind {kind!r}")
-            self._pending -= 1
-            return
         for op in ops:
             kind = op.kind
             if kind == "send":
@@ -254,6 +238,75 @@ class NBCRequest(Waitable):
             else:  # pragma: no cover - schedule.validate() prevents this
                 raise ScheduleError(f"unknown op kind {kind!r}")
         self._pending -= 1
+
+    def _post_sizes(self, ctx: MPIContext, ops, comm: SimComm,
+                    tag_base: int, child_done) -> None:
+        """Post one size-only round: no buffers, no data movement.
+
+        Performance sweeps post thousands of these rounds, so posts go
+        straight to the world, skipping ``MPIContext.isend``/``irecv``
+        but keeping their checks: a revoked communicator raises at the
+        first post, a dead peer raises in the world, and op sizes are
+        ints by construction (``SendOp``/``RecvOp``).  The world methods
+        are looked up per round, never cached across rounds, so an
+        attached :class:`~repro.sim.trace.Tracer` sees every post.
+
+        Posts carry no notify callback: the only request a post can
+        complete synchronously is its own (an eager send, a recv matching
+        an unexpected eager message), so ``done`` is checked on return
+        and the callback attached only to requests still in flight.
+        Nothing can complete while the round is being posted, so
+        ``_pending`` is raised once, by the in-flight count, at the end.
+        """
+        world = ctx.world
+        st = ctx._st
+        ranks = comm.ranks
+        comm_id = comm.comm_id
+        revoked = comm.revoked
+        post_isend = world._post_isend
+        post_irecv = world._post_irecv
+        outstanding = 0
+        try:
+            for op in ops:
+                kind = op.kind
+                if kind == "send":
+                    if revoked:
+                        raise CommRevokedError(
+                            f"rank {ctx.rank}: isend on revoked "
+                            f"communicator {comm_id}")
+                    req = post_isend(st, ranks[op.peer], tag_base + op.tagoff,
+                                     comm_id, op.nbytes, None, None)
+                elif kind == "recv":
+                    if revoked:
+                        raise CommRevokedError(
+                            f"rank {ctx.rank}: irecv on revoked "
+                            f"communicator {comm_id}")
+                    req = post_irecv(st, ranks[op.peer], tag_base + op.tagoff,
+                                     comm_id, op.nbytes, None)
+                else:
+                    # inlined ctx.charge_copy(n): the float ops of
+                    # charge(copy_time(n)); a combine reads and writes
+                    # the destination, ~2 copies of CPU
+                    if kind == "copy":
+                        n = op.nbytes
+                    elif kind == "combine":
+                        n = 2 * op.nbytes
+                    else:  # pragma: no cover - validate() prevents this
+                        raise ScheduleError(f"unknown op kind {kind!r}")
+                    busy = st.busy_until
+                    now = world.sim._now
+                    st.busy_until = ((busy if busy > now else now)
+                                     + n / world._copy_bw)
+                    continue
+                if not req.done:
+                    req._notify = child_done
+                    outstanding += 1
+        except BaseException:
+            # a failed post leaves the round unfinished for good: keep
+            # _pending one above what can still complete
+            self._pending += outstanding + 1
+            raise
+        self._pending += outstanding
 
     def _make_recv_notify(self, dst_view: np.ndarray):
         def notify(req: RecvRequest, t: float) -> None:

@@ -88,7 +88,8 @@ class SendOp:
     def __init__(self, peer: int, nbytes: int, tagoff: int,
                  src: Optional[BufSpec] = None):
         self.peer = peer
-        self.nbytes = nbytes
+        # int once here: the size-only NBC loop posts it unconverted
+        self.nbytes = nbytes if type(nbytes) is int else int(nbytes)
         self.tagoff = tagoff
         self.src = src
 
@@ -105,7 +106,7 @@ class RecvOp:
     def __init__(self, peer: int, nbytes: int, tagoff: int,
                  dst: Optional[BufSpec] = None):
         self.peer = peer
-        self.nbytes = nbytes
+        self.nbytes = nbytes if type(nbytes) is int else int(nbytes)
         self.tagoff = tagoff
         self.dst = dst
 

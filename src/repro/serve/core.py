@@ -20,8 +20,13 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
-from ..bench.overlap import OverlapConfig, function_set_for, run_overlap
-from ..errors import ServeError
+from ..bench.overlap import (
+    OverlapConfig,
+    default_iterations,
+    function_set_for,
+    run_overlap,
+)
+from ..errors import ReproError, ServeError
 from ..util.canonical import canonical_json
 
 __all__ = [
@@ -34,7 +39,10 @@ __all__ = [
 ]
 
 #: every field a tuning request may carry, with its default (mirrors
-#: the ``repro tune`` CLI defaults so `tune --serve` round-trips)
+#: the ``repro tune`` CLI defaults so `tune --serve` round-trips).
+#: ``iterations`` None is filled by :func:`normalize_request` with
+#: :func:`~repro.bench.overlap.default_iterations` of the request's
+#: operation and evals, so a default request reaches a decision.
 REQUEST_DEFAULTS: Dict[str, Any] = {
     "platform": "whale",
     "operation": "alltoall",
@@ -42,7 +50,7 @@ REQUEST_DEFAULTS: Dict[str, Any] = {
     "nbytes": 64 * 1024,
     "compute_total": 10.0,
     "paper_iterations": 1000,
-    "iterations": 20,
+    "iterations": None,
     "nprogress": 5,
     "selector": "brute_force",
     "evals": 3,
@@ -77,8 +85,11 @@ def normalize_request(fields: Optional[dict]) -> dict:
         raise ServeError(f"unknown tuning-request fields: {unknown}")
     req = dict(REQUEST_DEFAULTS)
     req.update(fields)
+    derive = req["iterations"] is None
     for name in _INT_FIELDS:
         value = req[name]
+        if derive and name == "iterations":
+            continue
         if isinstance(value, bool) or not isinstance(value, int):
             raise ServeError(f"request field {name!r} must be an int, "
                              f"got {value!r}")
@@ -95,6 +106,12 @@ def normalize_request(fields: Optional[dict]) -> dict:
         raise ServeError(f"nprocs must be >= 2, got {req['nprocs']}")
     if req["nbytes"] < 1:
         raise ServeError(f"nbytes must be >= 1, got {req['nbytes']}")
+    if derive:
+        try:
+            req["iterations"] = default_iterations(req["operation"],
+                                                   req["evals"])
+        except ReproError as exc:
+            raise ServeError(str(exc)) from None
     return {name: req[name] for name in REQUEST_DEFAULTS}
 
 

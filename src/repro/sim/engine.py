@@ -136,11 +136,8 @@ class Simulator:
         #: syscalls the MPI layer's fast lane processed inline instead of
         #: through a heap event (see DESIGN.md §15); the lane adds the
         #: matching count to :attr:`events_dispatched` so the observable
-        #: event total stays identical to the object-mode engine
+        #: event total stays identical with the lane off
         self.batched_syscalls = 0
-        #: slot pools registered by the driving layer (name -> pool);
-        #: their occupancy/high-water marks are folded into :meth:`stats`
-        self._pools: dict = {}
 
     # ------------------------------------------------------------------ API
 
@@ -200,33 +197,15 @@ class Simulator:
         """Number of live (non-cancelled) events still queued.  O(1)."""
         return self._live
 
-    def register_pool(self, name: str, pool) -> None:
-        """Register a slot pool so :meth:`stats` reports its occupancy.
-
-        ``pool`` is any object with a ``stats() -> dict`` method (see
-        :class:`repro.sim.pool.SlotPool`).  Registering under an existing
-        name replaces the previous pool.
-        """
-        self._pools[name] = pool
-
     def stats(self) -> dict:
-        """Kernel observability counters (cheap; safe to poll).
-
-        Includes per-registered-pool occupancy and high-water marks as
-        flat ``pool_<name>_<field>`` keys, so sweep-level aggregation
-        (which sums stats dicts key-wise) keeps working.
-        """
-        out = {
+        """Kernel observability counters (cheap; safe to poll)."""
+        return {
             "events_dispatched": self.events_dispatched,
             "pending": self._live,
             "heap_size": len(self._heap),
             "compactions": self.compactions,
             "batched_syscalls": self.batched_syscalls,
         }
-        for name, pool in self._pools.items():
-            for field, value in pool.stats().items():
-                out[f"pool_{name}_{field}"] = value
-        return out
 
     # ------------------------------------------------------------------ heap
 
@@ -304,19 +283,20 @@ class Simulator:
             pop = _heappop
             event_cls = Event
             if stop_when is None:
-                # the common loop: one fewer branch per dispatched event
+                # the common loop: one fewer branch per dispatched event;
+                # pop first and push back the one entry past the horizon
+                # (same tuple, so the (time, seq) order is unchanged)
                 while heap:
-                    entry = heap[0]
+                    entry = pop(heap)
                     ev = entry[2]
                     cancellable = type(ev) is event_cls
                     if cancellable and ev.cancelled:
-                        pop(heap)
                         continue
                     time = entry[0]
                     if time > until_f:
+                        _heappush(heap, entry)
                         self._now = until
                         break
-                    pop(heap)
                     self._live -= 1
                     self._now = time
                     dispatched += 1
@@ -373,9 +353,9 @@ class Simulator:
             if self.batched_syscalls:
                 rec.instant("engine", "fastlane.batch", -1, self._now,
                             {"batched_syscalls": self.batched_syscalls})
-            # fold the kernel counters (incl. pool_<name>_<field>) into
-            # the registry as gauges: stats are cumulative, so
-            # last-write-wins is the aggregation that stays truthful
+            # fold the kernel counters into the registry as gauges:
+            # stats are cumulative, so last-write-wins is the
+            # aggregation that stays truthful
             for field, value in self.stats().items():
                 rec.metrics.gauge(f"engine.{field}").set(value)
         return self._now

@@ -27,6 +27,7 @@ current ``busy_until`` so bursts of posts serialize realistically.
 from __future__ import annotations
 
 import math
+import os
 from heapq import heappush as _heappush
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -49,7 +50,6 @@ from .faults import FaultInjector, FaultPlan, RankCrash
 from .netmodel import MachineParams
 from .noise import NoiseModel, NullNoise
 from .platforms import Platform
-from .pool import DeadlineWheel, SlotPool, array_engine_enabled
 from .process import (
     Barrier,
     Compute,
@@ -62,11 +62,22 @@ from .process import (
 )
 from .topology import Topology
 
-__all__ = ["SimWorld", "SimComm", "MPIContext", "RunResult", "INCAST_DEPTH_CAP"]
+__all__ = ["SimWorld", "SimComm", "MPIContext", "RunResult", "INCAST_DEPTH_CAP",
+           "fastlane_enabled"]
 
 #: maximum receive-queue depth that still worsens an incast collapse;
 #: beyond this the degradation saturates (TCP throughput floors out)
 INCAST_DEPTH_CAP = 50.0
+
+
+def fastlane_enabled() -> bool:
+    """Whether new worlds may use the fast lane (``REPRO_FASTLANE``).
+
+    On by default; ``REPRO_FASTLANE=0`` turns it off for A/B runs.
+    Read per world, not at import, so tests and harnesses can flip it
+    between simulations in one process.
+    """
+    return os.environ.get("REPRO_FASTLANE", "1") not in ("", "0", "false")
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +99,6 @@ class _Message:
         "send_req",
         "recv_req",
         "attempts",
-        "_pool_slot",
     )
 
     def __init__(self, src: int, dst: int, tag: int, comm_id: int, nbytes: int,
@@ -104,13 +114,6 @@ class _Message:
         self.recv_req: Optional[RecvRequest] = None
         #: transmission attempts so far (drops trigger retransmission)
         self.attempts = 0
-        #: slot index in the world's message pool (-1 = unpooled/released)
-        self._pool_slot = -1
-
-
-def _new_pool_message() -> _Message:
-    """Factory for :class:`~repro.sim.pool.SlotPool`-recycled messages."""
-    return _Message(0, 0, 0, 0, 0, None, False, None)
 
 
 class _RankState:
@@ -554,6 +557,11 @@ class SimWorld:
         # once per event in the protocol paths below
         self._progress_base = self.params.progress_base
         self._progress_per_req = self.params.progress_per_req
+        self._o_send = self.params.o_send
+        self._o_recv = self.params.o_recv
+        self._copy_bw = self.params.copy_bw
+        self._intra_contention = self.params.intra_contention
+        self._incast_penalty = self.params.incast_penalty
         self._node_of = tuple(
             self.topology.node_of(r) for r in range(nprocs)
         )
@@ -564,6 +572,13 @@ class SimWorld:
         #: network-side noise stream (shared, deterministic draw order);
         #: jitter only — heavy-tail OS outliers apply to compute, not links
         self._net_noise = base_noise.jitter_only(0xBEEF)
+        #: a deterministic stream returns its input and draws nothing, so
+        #: _inject skips the perturb call entirely (bit-identical)
+        self._net_det = self._net_noise.deterministic
+        #: (src * nprocs + dst) -> rail or memory channel of that pair;
+        #: the pair hash is pure and a job reuses few pairs many times
+        self._rail_memo: dict[int, int] = {}
+        self._nprocs = nprocs
         self._ranks = [
             _RankState(r, base_noise.spawn(r + 1)) for r in range(nprocs)
         ]
@@ -643,29 +658,14 @@ class SimWorld:
             self._faults.on_rank_crash = self._on_rank_crash
             self._faults.obs = self._obs
             self._faults.install(self.sim)
-        # ---- array engine (DESIGN.md §15) ----------------------------
-        # numpy-pooled message slots + a vectorized retransmit-deadline
-        # wheel; both are exact-behavior substitutions (object identity
-        # and event order are preserved), so they stay on under faults
-        # and tracing.  REPRO_ARRAY_ENGINE=0 restores object mode.
-        self._array_mode = array_engine_enabled()
-        self._msg_pool: Optional[SlotPool] = None
-        self._wheel: Optional[DeadlineWheel] = None
-        if self._array_mode:
-            self._msg_pool = SlotPool(
-                "messages", _new_pool_message,
-                capacity=max(256, 2 * nprocs))
-            self.sim.register_pool("messages", self._msg_pool)
-            if self._faults is not None and self._reliable:
-                self._wheel = DeadlineWheel()
-                self.sim.register_pool("retransmit_wheel", self._wheel)
-        #: degenerate-topology fast lane: when no faults, no tracing and
-        #: deterministic per-rank noise can distinguish a symmetric
-        #: rank's timeline from its batch-collapsed equivalent, runs of
-        #: Compute/Progress/Wait syscalls are drained inline instead of
-        #: through one heap event each (see :meth:`_batch`)
+        #: degenerate-topology fast lane (DESIGN.md §15): when no faults,
+        #: no tracing and deterministic per-rank noise can distinguish a
+        #: symmetric rank's timeline from its batch-collapsed equivalent,
+        #: runs of Compute/Progress/Wait syscalls are drained inline
+        #: instead of through one heap event each (see :meth:`_batch`).
+        #: ``REPRO_FASTLANE=0`` turns it off for A/B runs.
         self._fastlane = (
-            self._array_mode and self._faults is None and self._obs is None
+            fastlane_enabled() and self._faults is None and self._obs is None
         )
 
     @property
@@ -919,11 +919,11 @@ class SimWorld:
 
         Every inline-processed syscall adds one to
         ``events_dispatched`` — the resume event it replaced — keeping
-        the observable event count identical to object mode.  A pull
+        the observable event count identical to the evented path.  A pull
         that touches the world (posts a request, matches a message) or
         yields a non-batchable syscall is *deferred*: replayed by a
         single event at this rank's ``busy_until``, the exact time its
-        object-mode resume would have dispatched.
+        evented resume would have dispatched.
         """
         sim = self.sim
         heap = self._sim_heap
@@ -942,7 +942,7 @@ class SimWorld:
             nheap = len(heap)
             busy = st.busy_until
             # between-yield world calls (posts, revoke, timers) must see
-            # the clock their object-mode resume would see, not the time
+            # the clock their evented resume would see, not the time
             # of the event that entered the batch
             sim._now = busy
             try:
@@ -961,7 +961,7 @@ class SimWorld:
                     or st.n_active != 0 or st.busy_until != busy):
                 # the generator touched the world between yields (posted
                 # a request, charged time, cancelled an event, ...):
-                # replay the pulled syscall at its exact object-mode
+                # replay the pulled syscall at its exact evented
                 # time.  pending_cts/pending_data/failed_excs need no
                 # re-check: every path that sets them from program
                 # context also moves one of the four deltas above.
@@ -1009,7 +1009,7 @@ class SimWorld:
             self.sim.halt()
 
     def _defer(self, st: _RankState, syscall: Any) -> None:
-        """Schedule an already-pulled syscall at its object-mode time."""
+        """Schedule an already-pulled syscall at its evented time."""
         _heappush(self._sim_heap,
                   (st.busy_until, next(self._sim_seq),
                    self._deferred_syscall, (st, syscall)))
@@ -1346,9 +1346,16 @@ class SimWorld:
                 sim._live += 1
                 self._ranks[msg.src].inbound += 1
         if st.pending_data:
+            # the sender CPU noticed the CTS: move the payload
+            node_of = self._node_of
             msgs, st.pending_data = st.pending_data, []
             for msg in msgs:
-                self._start_data_transfer(st, msg)
+                if msg.send_req.failed is not None:
+                    continue
+                busy = st.busy_until
+                now = self.sim._now
+                self._inject(msg, busy if busy > now else now,
+                             node_of[msg.src] == node_of[msg.dst])
 
     # ------------------------------------------------------------------
     # posting
@@ -1364,7 +1371,6 @@ class SimWorld:
         data: Any,
         notify: Optional[Callable],
     ) -> SendRequest:
-        params = self.params
         if self._dead and wdst in self._dead:
             raise RankFailedError(
                 f"rank {st.id}: isend to dead rank {wdst} "
@@ -1372,58 +1378,51 @@ class SimWorld:
             )
         if st.pending_cts or st.pending_data:
             self._mpi_entry(st)  # any MPI call drives pending protocol actions
-        # inlined st.ctx.charge(params.o_send)
+        # inlined st.ctx.charge(params.o_send); t >= now from here on, so
+        # the clamp of every later charge in this call is the identity
         busy = st.busy_until
         now = self.sim._now
-        st.busy_until = (busy if busy > now else now) + params.o_send
-        req = SendRequest(wdst, tag, nbytes, st.busy_until, comm_id)
+        t = (busy if busy > now else now) + self._o_send
+        src = st.id
+        req = SendRequest(wdst, tag, nbytes, t, comm_id)
         req._notify = notify  # type: ignore[attr-defined]
         node_of = self._node_of
-        same_node = node_of[st.id] == node_of[wdst]
+        same_node = node_of[src] == node_of[wdst]
         link = self._links[same_node]
         eager = nbytes <= link.eager_threshold
-        pool = self._msg_pool
-        if pool is not None:
-            msg = pool.acquire()
-            msg.src = st.id
-            msg.dst = wdst
-            msg.tag = tag
-            msg.comm_id = comm_id
-            msg.nbytes = nbytes
-            msg.data = data
-            msg.eager = eager
-            msg.send_req = req
-            msg.recv_req = None
-            msg.attempts = 0
-        else:
-            msg = _Message(st.id, wdst, tag, comm_id, nbytes, data, eager, req)
+        msg = _Message(src, wdst, tag, comm_id, nbytes, data, eager, req)
         if self._obs is not None:
-            self._obs.instant("communication", "msg.post", st.id,
-                              st.busy_until,
+            self._obs.instant("communication", "msg.post", src, t,
                               {"dst": wdst, "tag": tag, "nbytes": nbytes,
                                "eager": eager})
             self._m_posted.inc()
             self._m_bytes.observe(nbytes)
         if eager:
             # the library copies the payload into an internal buffer,
-            # then the NIC drains it without further CPU help
-            st.ctx.charge(params.copy_time(nbytes))
-            self._inject(msg, st.busy_until, same_node)
+            # then the NIC drains it without further CPU help (inlined
+            # st.ctx.charge(params.copy_time(nbytes)), same float ops)
+            t += nbytes / self._copy_bw
+            st.busy_until = t
+            self._inject(msg, t, same_node)
             req.done = True
-            req.complete_time = st.busy_until
+            req.complete_time = t
             if notify is not None:
-                notify(req, st.busy_until)
+                notify(req, t)
+            return req
+        st.busy_until = t
+        st.n_active += 1
+        peers = st.open_by_peer
+        open_reqs = peers.get(wdst)
+        if open_reqs is None:
+            peers[wdst] = [req]
         else:
-            st.n_active += 1
-            st.open_by_peer.setdefault(wdst, []).append(req)
-            # RTS control message: latency only
-            sim = self.sim
-            t = st.busy_until + link.alpha
-            now = sim._now
-            _heappush(sim._heap, (t if t > now else now, next(sim._seq),
-                                  self._on_rts_arrival, (msg,)))
-            sim._live += 1
-            self._ranks[wdst].inbound += 1
+            open_reqs.append(req)
+        # RTS control message: latency only (t >= now)
+        sim = self.sim
+        _heappush(sim._heap, (t + link.alpha, next(sim._seq),
+                              self._on_rts_arrival, (msg,)))
+        sim._live += 1
+        self._ranks[wdst].inbound += 1
         return req
 
     def _post_irecv(
@@ -1435,7 +1434,6 @@ class SimWorld:
         nbytes: int,
         notify: Optional[Callable],
     ) -> RecvRequest:
-        params = self.params
         if self._dead and wsrc in self._dead:
             raise RankFailedError(
                 f"rank {st.id}: irecv from dead rank {wsrc} "
@@ -1443,38 +1441,51 @@ class SimWorld:
             )
         if st.pending_cts or st.pending_data:
             self._mpi_entry(st)
-        # inlined st.ctx.charge(params.o_recv)
+        # inlined st.ctx.charge(params.o_recv); t >= now from here on
         busy = st.busy_until
         now = self.sim._now
-        st.busy_until = (busy if busy > now else now) + params.o_recv
-        req = RecvRequest(wsrc, tag, nbytes, st.busy_until, comm_id)
+        t = (busy if busy > now else now) + self._o_recv
+        st.busy_until = t
+        req = RecvRequest(wsrc, tag, nbytes, t, comm_id)
         req._notify = notify  # type: ignore[attr-defined]
         key = (wsrc, tag, comm_id)
-        queue = st.unexpected.get(key)
+        unexpected = st.unexpected
+        queue = unexpected.get(key) if unexpected else None
         if queue:
             msg = queue.pop(0)
             if not queue:
-                del st.unexpected[key]
+                del unexpected[key]
             if msg.eager:
                 # late match: pay the unpack copy out of the eager buffer
-                st.ctx.charge(params.copy_time(msg.nbytes))
+                # (inlined st.ctx.charge(params.copy_time(msg.nbytes)))
+                t += msg.nbytes / self._copy_bw
+                st.busy_until = t
                 req.data = msg.data
                 req.done = True
-                req.complete_time = st.busy_until
-                self._release_msg(msg)
+                req.complete_time = t
                 if notify is not None:
-                    notify(req, st.busy_until)
-            else:
-                # unexpected RTS: answer with CTS at this (in-MPI) moment
-                msg.recv_req = req
-                st.n_active += 1
-                st.open_by_peer.setdefault(wsrc, []).append(req)
-                st.pending_cts.append(msg)
-                self._mpi_entry(st)
-        else:
+                    notify(req, t)
+                return req
+            # unexpected RTS: answer with CTS at this (in-MPI) moment
+            msg.recv_req = req
             st.n_active += 1
             st.open_by_peer.setdefault(wsrc, []).append(req)
-            st.posted.setdefault(key, []).append(req)
+            st.pending_cts.append(msg)
+            self._mpi_entry(st)
+            return req
+        st.n_active += 1
+        peers = st.open_by_peer
+        open_reqs = peers.get(wsrc)
+        if open_reqs is None:
+            peers[wsrc] = [req]
+        else:
+            open_reqs.append(req)
+        posted = st.posted
+        waiting = posted.get(key)
+        if waiting is None:
+            posted[key] = [req]
+        else:
+            waiting.append(req)
         return req
 
     # ------------------------------------------------------------------
@@ -1496,12 +1507,19 @@ class SimWorld:
         h = (h * 0xC2B2AE35) & 0xFFFFFFFF
         return h >> 16
 
-    def _rail_of(self, src: int, dst: int) -> int:
-        """Deterministic NIC rail choice preserving per-pair message order."""
-        rails = self.params.nic_rails
-        if rails == 1:
-            return 0
-        return self._pair_hash(src, dst) % rails
+    def _pair_rail(self, src: int, dst: int, same_node: bool) -> int:
+        """Rail (inter-node) or memory channel (intra-node) of a pair.
+
+        Deterministic and order-preserving: a pair always maps to the
+        same one.  A pair is always on one side of the node boundary, so
+        one per-world memo serves both kinds; ``_inject`` reads the memo
+        inline and calls this only on a miss.
+        """
+        params = self.params
+        rails = params.intra_rails if same_node else params.nic_rails
+        rail = self._pair_hash(src, dst) % rails
+        self._rail_memo[src * self._nprocs + dst] = rail
+        return rail
 
     def _inject(self, msg: _Message, t_post: float, same_node: bool) -> None:
         """Put an (eager or rendezvous-data) message on the wire.
@@ -1513,41 +1531,50 @@ class SimWorld:
         if self._dead and msg.dst in self._dead:
             self._dead_letter(msg)
             return
-        params = self.params
         sim = self.sim
         now = sim._now
+        heap = self._sim_heap
+        seq = self._sim_seq
         link = self._links[same_node]
         # inlined link.serialization_time(nbytes)
-        ser = self._net_noise.perturb(link.per_msg + msg.nbytes / link.beta)
+        ser = link.per_msg + msg.nbytes / link.beta
+        if not self._net_det:
+            ser = self._net_noise.perturb(ser)
+        src = msg.src
+        dst = msg.dst
+        rail = self._rail_memo.get(src * self._nprocs + dst)
+        if rail is None:
+            rail = self._pair_rail(src, dst, same_node)
         if same_node:
             # intra-node transfers share the node's memory channels;
             # flooding them (many concurrent large copies) additionally
             # degrades each transfer (sm-BTL FIFO / cache contention)
-            mem = self._mem_free[self._node_of[msg.src]]
-            rail = self._pair_hash(msg.src, msg.dst) % len(mem)
+            mem = self._mem_free[self._node_of[src]]
             free = mem[rail]
             start = t_post if t_post > free else free
-            if params.intra_contention > 0.0 and ser > 0.0:
+            contention = self._intra_contention
+            if contention > 0.0 and ser > 0.0:
                 depth = (start - t_post) / ser
-                ser *= 1.0 + params.intra_contention * min(depth, INCAST_DEPTH_CAP)
+                # min(depth, CAP) without the builtin call, same value
+                ser *= 1.0 + contention * (
+                    depth if depth <= INCAST_DEPTH_CAP else INCAST_DEPTH_CAP)
             done = start + ser
             mem[rail] = done
             arrival = start + link.alpha + ser
-            _heappush(sim._heap, (arrival if arrival > now else now,
-                                  next(sim._seq), self._deliver, (msg,)))
-            sim._live += 1
-            self._ranks[msg.dst].inbound += 1
-            if not msg.eager:
-                _heappush(sim._heap, (done if done > now else now,
-                                      next(sim._seq),
-                                      self._on_send_complete, (msg,)))
+            _heappush(heap, (arrival if arrival > now else now,
+                             next(seq), self._deliver, (msg,)))
+            self._ranks[dst].inbound += 1
+            if msg.eager:
                 sim._live += 1
-                self._ranks[msg.src].inbound += 1
+                return
+            _heappush(heap, (done if done > now else now,
+                             next(seq), self._on_send_complete, (msg,)))
+            sim._live += 2
+            self._ranks[src].inbound += 1
             return
-        rail = self._rail_of(msg.src, msg.dst)
         alpha = link.alpha
-        src_node = self._node_of[msg.src]
-        dst_node = self._node_of[msg.dst]
+        src_node = self._node_of[src]
+        dst_node = self._node_of[dst]
         tx_rail = rx_rail = rail
         faults = self._faults
         if faults is not None:
@@ -1567,14 +1594,13 @@ class SimWorld:
         tx = self._tx_free[src_node]
         free = tx[tx_rail]
         start = t_post if t_post > free else free
-        tx[tx_rail] = start + ser
+        done = start + ser
+        tx[tx_rail] = done
         if not msg.eager:
-            done = start + ser
-            _heappush(sim._heap, (done if done > now else now,
-                                  next(sim._seq),
-                                  self._on_send_complete, (msg,)))
+            _heappush(heap, (done if done > now else now, next(seq),
+                             self._on_send_complete, (msg,)))
             sim._live += 1
-            self._ranks[msg.src].inbound += 1
+            self._ranks[src].inbound += 1
         arrival = start + alpha + ser
         # receive-side rail contention (incast): the message occupies the
         # destination rail for its serialization time before delivery;
@@ -1586,15 +1612,17 @@ class SimWorld:
         t_head = arrival - ser
         free = rx[rx_rail]
         start_rx = t_head if t_head > free else free
-        if params.incast_penalty > 0.0 and ser > 0.0:
+        penalty = self._incast_penalty
+        if penalty > 0.0 and ser > 0.0:
             depth = (start_rx - t_head) / ser
-            ser *= 1.0 + params.incast_penalty * min(depth, INCAST_DEPTH_CAP)
+            ser *= 1.0 + penalty * (
+                depth if depth <= INCAST_DEPTH_CAP else INCAST_DEPTH_CAP)
         delivery = start_rx + ser
         rx[rx_rail] = delivery
-        _heappush(sim._heap, (delivery if delivery > now else now,
-                              next(sim._seq), self._deliver, (msg,)))
+        _heappush(heap, (delivery if delivery > now else now, next(seq),
+                         self._deliver, (msg,)))
         sim._live += 1
-        self._ranks[msg.dst].inbound += 1
+        self._ranks[dst].inbound += 1
 
     # ------------------------------------------------------------------
     # reliable transport (retransmission on injected message loss)
@@ -1629,23 +1657,7 @@ class SimWorld:
             )
         self.retransmits += 1
         retry_at = max(t_post + self._rto(msg, same_node), self.sim.now)
-        if self._wheel is not None:
-            # vectorized deadline table: the (deadline, payload) pair
-            # lives in the numpy wheel and the heap carries only a bare
-            # wakeup at the same (time, seq) the per-event path would
-            # use — each wakeup pops the earliest due timer, so firing
-            # order and event counts match object mode exactly
-            self._wheel.arm(retry_at, (msg, same_node))
-            self._post(retry_at, self._wheel_fire)
-        else:
-            self._post(retry_at, self._retransmit, msg, same_node)
-
-    def _wheel_fire(self) -> None:
-        """One retransmit-wheel wakeup: fire the earliest due timer."""
-        payload = self._wheel.pop_due(self.sim._now)
-        if payload is not None:
-            msg, same_node = payload
-            self._retransmit(msg, same_node)
+        self._post(retry_at, self._retransmit, msg, same_node)
 
     def _retransmit(self, msg: _Message, same_node: bool) -> None:
         if self._obs is not None:
@@ -1667,26 +1679,15 @@ class SimWorld:
                               self.sim._now,
                               {"dst": msg.dst, "nbytes": msg.nbytes})
             self._m_dead_letters.inc()
-        self._release_msg(msg)
-
-    def _release_msg(self, msg: _Message) -> None:
-        """Recycle a consumed message through the slot pool (array mode).
-
-        Dropping the payload/receive references here keeps recycled
-        slots from pinning buffers.  ``send_req`` survives until the
-        slot is re-acquired: :class:`~repro.sim.trace.Tracer` wrappers
-        read it right after the wrapped ``_complete_recv`` returns.
-        Safe on unpooled messages (no-op).
-        """
-        pool = self._msg_pool
-        if pool is not None and msg._pool_slot >= 0:
-            msg.data = None
-            msg.recv_req = None
-            pool.release(msg)
 
     @staticmethod
     def _untrack(st: _RankState, req) -> None:
-        """Drop a finished request from the per-peer open-request index."""
+        """Drop a finished request from the per-peer open-request index.
+
+        Requests to one peer mostly finish in post order, so the two
+        completion paths inline the head-of-list case and call this only
+        for the rest.
+        """
         queue = st.open_by_peer.get(req.peer)
         if queue is None:
             return
@@ -1708,7 +1709,17 @@ class SimWorld:
         req.done = True
         req.complete_time = now
         st.n_active -= 1
-        self._untrack(st, req)
+        # _untrack, head-of-list case inlined
+        peers = st.open_by_peer
+        peer = req.peer
+        queue = peers.get(peer)
+        if queue is not None and queue[0] is req:
+            if len(queue) == 1:
+                del peers[peer]
+            else:
+                del queue[0]
+        else:
+            self._untrack(st, req)
         notify = req._notify
         if notify is not None:
             try:
@@ -1747,16 +1758,6 @@ class SimWorld:
         if st.waiting is not None:
             self._mpi_entry(st)
 
-    def _start_data_transfer(self, st: _RankState, msg: _Message) -> None:
-        """Sender CPU noticed the CTS: move the payload."""
-        if msg.send_req.failed is not None:
-            return
-        busy = st.busy_until
-        now = self.sim._now
-        node_of = self._node_of
-        self._inject(msg, busy if busy > now else now,
-                     node_of[msg.src] == node_of[msg.dst])
-
     def _deliver(self, msg: _Message) -> None:
         st = self._ranks[msg.dst]
         st.inbound -= 1
@@ -1769,11 +1770,12 @@ class SimWorld:
             return
         # eager message: match against posted receives or park it
         key = (msg.src, msg.tag, msg.comm_id)
-        queue = st.posted.get(key)
+        posted = st.posted
+        queue = posted.get(key) if posted else None
         if queue:
             req = queue.pop(0)
             if not queue:
-                del st.posted[key]
+                del posted[key]
             self._complete_recv(st, req, msg, t)
         else:
             st.unexpected.setdefault(key, []).append(msg)
@@ -1791,7 +1793,17 @@ class SimWorld:
         req.done = True
         req.complete_time = t
         st.n_active -= 1
-        self._untrack(st, req)
+        # _untrack, head-of-list case inlined (one call per message)
+        peers = st.open_by_peer
+        peer = req.peer
+        queue = peers.get(peer)
+        if queue is not None and queue[0] is req:
+            if len(queue) == 1:
+                del peers[peer]
+            else:
+                del queue[0]
+        else:
+            self._untrack(st, req)
         notify = req._notify
         if notify is not None:
             try:
@@ -1800,9 +1812,6 @@ class SimWorld:
                 st.failed_excs.append(exc)
         if st.waiting is not None:
             self._wait_try(st)
-        # released last: notify/wait_try may post new sends, and an
-        # earlier release would let them re-acquire this very slot
-        self._release_msg(msg)
 
     # ------------------------------------------------------------------
     # process failure: rank crash, revoke sweep, agreement commit

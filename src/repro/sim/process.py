@@ -75,7 +75,12 @@ class SendRequest(Waitable):
 
     def __init__(self, peer: int, tag: int, nbytes: int, post_time: float,
                  comm_id: int = 0):
-        super().__init__()
+        # every slot set here, not via Waitable.__init__: one request is
+        # built per simulated message, and the super() call is a
+        # measurable share of the point-to-point hot path
+        self.done = False
+        self.failed = None
+        self._notify = None
         self.peer = peer
         self.tag = tag
         self.nbytes = nbytes
@@ -100,7 +105,10 @@ class RecvRequest(Waitable):
 
     def __init__(self, peer: int, tag: int, nbytes: int, post_time: float,
                  comm_id: int = 0):
-        super().__init__()
+        # flat init, as in SendRequest
+        self.done = False
+        self.failed = None
+        self._notify = None
         self.peer = peer
         self.tag = tag
         self.nbytes = nbytes
@@ -158,9 +166,9 @@ class ComputeProgressSpan:
     ``(Compute(seconds), Progress(handles)) * count``, and simulated
     with bit-identical charges, times and event counts.  The difference
     is mechanical: the driver steps the span internally instead of
-    resuming the generator per chunk, which lets the array engine's fast
-    lane collapse the remainder into pure arithmetic once every handle
-    has completed and nothing else distinguishes the chunks
+    resuming the generator per chunk, which lets the fast lane collapse
+    the remainder into pure arithmetic once every handle has completed
+    and nothing else distinguishes the chunks
     (DESIGN.md §15).  Overlap-style benchmark loops — the hot path of
     every sweep — should yield one span per iteration.
     """

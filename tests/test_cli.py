@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.bench import OPERATION_KINDS, default_iterations
 from repro.cli import build_parser, main
+from repro.serve.core import compute_decision, normalize_request
 
 
 def test_platforms_command(capsys):
@@ -39,6 +41,25 @@ def test_tune_without_enough_iterations_reports_failure(capsys):
     ])
     assert rc == 1
     assert "no decision yet" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATION_KINDS))
+def test_tune_defaults_reach_a_decision(operation, capsys):
+    assert main(["tune", "--operation", operation]) == 0
+    assert "decision at iteration" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATION_KINDS))
+def test_service_defaults_match_the_cli(operation):
+    req = normalize_request({"operation": operation})
+    assert req["iterations"] == default_iterations(operation, req["evals"])
+    args = build_parser().parse_args(["tune", "--operation", operation])
+    assert args.iterations is None and args.evals == req["evals"]
+
+
+def test_default_service_bcast_request_decides():
+    assert compute_decision(normalize_request({"operation": "bcast"}))[
+        "winner"] is not None
 
 
 def test_fft_command(capsys):
