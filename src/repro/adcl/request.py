@@ -189,30 +189,9 @@ class ADCLRequest:
 
         Blocking implementations complete inside this call.
         """
-        rs = self._rstate.get(ctx.rank)
-        if rs is None:
-            rs = self._rstate[ctx.rank] = {"it": 0, "handles": []}
-        it = self._current_iteration(ctx, rs)
-        if it > self._max_it:
-            self._max_it = it
-        fn_idx = self._iter_fn.get(it)
-        if fn_idx is None:
-            rel = max(it - self._epoch_start, 0)
-            fn_idx = self.selector.function_for_iteration(rel)
-            if self.resilience is not None:
-                fn_idx = self.selector.substitute(fn_idx)
-            self._iter_fn[it] = fn_idx
-            self._journal.append(["iter", it, fn_idx])
-            if self.audit is not None:
-                self._audit_check_decision()
-                self.audit.selection(it, fn_idx, self.fnset[fn_idx].name,
-                                     not self.selector.decided)
-        fn = self.fnset[fn_idx]
-        handle = fn.make(ctx, self.spec, buffers)
-        rs["handles"].append((handle, it, fn_idx, ctx.now))
-        if fn.blocking:
-            if not handle.done:
-                yield Wait(handle)
+        fn, handle = self._launch(ctx, buffers, True)
+        if fn.blocking and not handle.done:
+            yield Wait(handle)
         return handle
 
     def start_now(self, ctx: MPIContext,
@@ -225,8 +204,15 @@ class ADCLRequest:
         non-blocking (e.g. the paper's 21-function ``Ibcast`` set) this
         saves a generator object and a delegation round-trip per
         invocation, which a tuning loop pays hundreds of thousands of
-        times.  The body mirrors :meth:`start` exactly.
+        times.
         """
+        return self._launch(ctx, buffers, False)[1]
+
+    def _launch(self, ctx: MPIContext,
+                buffers: Optional[Mapping[str, np.ndarray]],
+                allow_blocking: bool):
+        """Select this invocation's implementation, create its handle and
+        queue it; returns ``(function, handle)``."""
         rs = self._rstate.get(ctx.rank)
         if rs is None:
             rs = self._rstate[ctx.rank] = {"it": 0, "handles": []}
@@ -246,14 +232,14 @@ class ADCLRequest:
                 self.audit.selection(it, fn_idx, self.fnset[fn_idx].name,
                                      not self.selector.decided)
         fn = self.fnset[fn_idx]
-        if fn.blocking:
+        if fn.blocking and not allow_blocking:
             raise AdclError(
                 f"start_now() selected blocking implementation {fn.name!r}; "
                 f"use `yield from start(ctx)`"
             )
         handle = fn.make(ctx, self.spec, buffers)
         rs["handles"].append((handle, it, fn_idx, ctx.now))
-        return handle
+        return fn, handle
 
     def handle(self, ctx: MPIContext) -> Waitable:
         """The oldest in-flight handle (single-outstanding usage)."""

@@ -16,8 +16,8 @@ The three mechanisms:
   fallback (see :meth:`~repro.adcl.function.FunctionSet.
   safe_fallback_index`), which is never quarantined.  Candidates whose
   measurement *aborts* (deadlock, watchdog timeout, lost message) are
-  quarantined sticky by the harness restart loop in
-  :func:`~repro.bench.overlap.run_overlap_resilient`.
+  quarantined sticky by the harness restart loop that
+  :func:`~repro.bench.overlap.run_overlap` runs under this policy.
 * **Drift-triggered re-tuning** — post-decision timings are monitored by
   a :class:`~repro.adcl.statistics.DriftDetector`; when they drift from
   the decision-time baseline the request re-opens the tuning phase and

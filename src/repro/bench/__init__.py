@@ -2,7 +2,8 @@
 
 * :mod:`repro.bench.overlap` — the communication/computation overlap
   micro-benchmark (loop of init / chunked compute with progress calls /
-  wait);
+  wait), with an optional recovery policy (restart or in-simulation
+  ULFM crash recovery);
 * :mod:`repro.bench.verification` — verification runs: every fixed
   implementation vs. the ADCL selectors, with the paper's 5%%
   correct-decision criterion;
@@ -21,16 +22,14 @@ from .fabric import (
     result_fingerprint,
     run_tasks_fabric,
 )
-from .ft import FTOverlapResult, run_overlap_ft
 from .overlap import (
     OPERATION_KINDS,
     OverlapConfig,
     OverlapResult,
-    ResilientOverlapResult,
+    ULFM,
     default_iterations,
     function_set_for,
     run_overlap,
-    run_overlap_resilient,
 )
 from .parallel import (
     ResultCache,
@@ -50,15 +49,14 @@ from .verification import (
 
 __all__ = [
     "CORRECTNESS_TOLERANCE",
-    "FTOverlapResult",
     "FabricConfig",
     "FabricError",
     "OPERATION_KINDS",
     "OverlapConfig",
     "OverlapResult",
-    "ResilientOverlapResult",
     "ResultCache",
     "SweepResult",
+    "ULFM",
     "VerificationResult",
     "bench_seed",
     "default_iterations",
@@ -71,8 +69,6 @@ __all__ = [
     "paper_scale",
     "result_fingerprint",
     "run_overlap",
-    "run_overlap_ft",
-    "run_overlap_resilient",
     "run_tasks",
     "run_tasks_fabric",
     "run_verification",

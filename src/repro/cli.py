@@ -65,14 +65,13 @@ from .bench import (
     OPERATION_KINDS,
     OverlapConfig,
     ResultCache,
+    ULFM,
     default_iterations,
     fft_methods,
     format_bars,
     format_table,
     function_set_for,
     run_overlap,
-    run_overlap_ft,
-    run_overlap_resilient,
     sweep_implementations,
 )
 from .nbc.schedule import schedule_cache_stats
@@ -779,37 +778,39 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+#: tune flags that only one recovery mode honours -> that mode
+_MODE_ONLY_FLAGS = (("deadline", "--deadline", "resilient"),
+                    ("checkpoint", "--checkpoint", "ft"),
+                    ("checkpoint_every", "--checkpoint-every", "ft"))
+
+
 def cmd_tune(args) -> int:
+    for attr, flag, mode in _MODE_ONLY_FLAGS:
+        if getattr(args, attr) and not getattr(args, mode):
+            print(f"error: {flag} only applies with --{mode}",
+                  file=sys.stderr)
+            raise SystemExit(2)  # argparse's usage-error convention
     if args.serve:
         return cmd_tune_serve(args)
     cfg = _overlap_config(args)
     fnset = function_set_for(args.operation)
+    recovery = None
+    if args.resilient:
+        recovery = Resilience(deadline=args.deadline)
+    elif args.ft:
+        recovery = ULFM(
+            checkpoint=CheckpointStore(args.checkpoint)
+            if args.checkpoint is not None else None,
+            checkpoint_every=args.checkpoint_every,
+        )
     recorder = prev = None
     if args.trace or args.metrics:
         recorder = TraceRecorder()
         prev = install(recorder)
     t0 = time.perf_counter()
     try:
-        if args.resilient:
-            res = run_overlap_resilient(
-                cfg, selector=args.selector, evals_per_function=args.evals,
-                resilience=Resilience(deadline=args.deadline),
-            )
-        elif args.ft:
-            store = None
-            restore_from = None
-            if args.checkpoint is not None:
-                store = CheckpointStore(args.checkpoint)
-                key = f"{cfg.operation}@{cfg.platform}:B{cfg.nbytes}"
-                restore_from = store.load(key)
-            res = run_overlap_ft(
-                cfg, selector=args.selector, evals_per_function=args.evals,
-                checkpoint=store, checkpoint_every=args.checkpoint_every,
-                restore_from=restore_from,
-            )
-        else:
-            res = run_overlap(cfg, selector=args.selector,
-                              evals_per_function=args.evals)
+        res = run_overlap(cfg, selector=args.selector,
+                          evals_per_function=args.evals, recovery=recovery)
     finally:
         if recorder is not None:
             install(prev)
@@ -824,29 +825,27 @@ def cmd_tune(args) -> int:
         phase = "learn " if rec.learning else "steady"
         print(f"  iter {rec.iteration:>3} [{phase}] {name:<22} "
               f"{fmt_time(rec.seconds)}")
-    if args.resilient:
-        for idx, reason in res.quarantine_log:
-            print(f"\nquarantined {fnset[idx].name!r}: {reason.splitlines()[0]}")
-        if res.restarts:
-            print(f"restarts after aborted measurements: {res.restarts}")
-        if res.retunes:
-            print(f"drift-triggered re-tunes: {res.retunes}")
-        if res.messages_dropped:
-            print(f"messages dropped: {res.messages_dropped}, "
-                  f"retransmitted: {res.retransmits}")
-    if args.ft:
-        if res.restored_epoch:
-            print(f"\nwarm start: restored tuning state at epoch "
-                  f"{res.restored_epoch} from {args.checkpoint}")
-        if res.dead:
-            print(f"\nrank crashes: {res.dead}  "
-                  f"repairs: {res.repairs}  survivors: {res.survivors}")
-            agreed = sorted({w or "-" for w in res.agreed_winner.values()})
-            print(f"agreed winner on all {len(res.agreed_winner)} "
-                  f"survivors: {', '.join(agreed)}")
-        if res.checkpoints_written:
-            print(f"checkpoints written: {res.checkpoints_written} "
-                  f"-> {args.checkpoint}")
+    for idx, reason in res.quarantine_log:
+        print(f"\nquarantined {fnset[idx].name!r}: {reason.splitlines()[0]}")
+    if res.restarts:
+        print(f"restarts after aborted measurements: {res.restarts}")
+    if res.retunes:
+        print(f"drift-triggered re-tunes: {res.retunes}")
+    if res.messages_dropped or res.retransmits:
+        print(f"messages dropped: {res.messages_dropped}, "
+              f"retransmitted: {res.retransmits}")
+    if res.restored_epoch:
+        print(f"\nwarm start: restored tuning state at epoch "
+              f"{res.restored_epoch} from {args.checkpoint}")
+    if res.dead:
+        print(f"\nrank crashes: {res.dead}  "
+              f"repairs: {res.repairs}  survivors: {res.survivors}")
+        agreed = sorted({w or "-" for w in res.agreed_winner.values()})
+        print(f"agreed winner on all {len(res.agreed_winner)} "
+              f"survivors: {', '.join(agreed)}")
+    if res.checkpoints_written:
+        print(f"checkpoints written: {res.checkpoints_written} "
+              f"-> {args.checkpoint}")
     if recorder is not None:
         _write_obs_outputs(
             args, cfg.describe(),
@@ -859,8 +858,7 @@ def cmd_tune(args) -> int:
             explain=True,
         )
     if args.stats:
-        _print_stats(wall, res.events, None,
-                     getattr(res, "engine_stats", None))
+        _print_stats(wall, res.events, None, res.engine_stats)
     if res.winner is None:
         print("\nno decision yet — increase --iterations")
         return 1

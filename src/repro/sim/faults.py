@@ -140,9 +140,9 @@ class RankCrash:
 
     ``respawn_delay`` (optional) is the provisioning time a replacement
     process would need before it could join a *subsequent* execution;
-    within one simulation the rank stays dead.  The fault-tolerant
-    harness (:func:`repro.bench.run_overlap_ft`) adds it to restart-time
-    accounting.
+    within one simulation the rank stays dead.  The overlap driver
+    under the :class:`repro.bench.ULFM` recovery policy adds it to
+    restart-time accounting.
     """
 
     rank: int

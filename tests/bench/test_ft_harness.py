@@ -10,7 +10,7 @@ strictly fewer learning iterations than a cold restart.
 import pytest
 
 from repro.adcl import CheckpointStore
-from repro.bench import OverlapConfig, run_overlap, run_overlap_ft
+from repro.bench import ULFM, OverlapConfig, run_overlap
 from repro.errors import RankFailedError
 from repro.sim import FaultPlan, RankCrash
 from repro.units import KiB
@@ -28,7 +28,8 @@ CRASH = RankCrash(5, 0.009)  # kills rank 5 of 8 mid-learning
 
 
 def test_crash_mid_tuning_recovers_and_completes():
-    res = run_overlap_ft(config([CRASH]), evals_per_function=2)
+    res = run_overlap(config([CRASH]), evals_per_function=2,
+                      recovery=ULFM())
     assert res.dead == [5]
     assert res.survivors == [0, 1, 2, 3, 4, 6, 7]
     assert res.repairs == 1
@@ -37,7 +38,8 @@ def test_crash_mid_tuning_recovers_and_completes():
 
 
 def test_all_survivors_agree_on_the_winner():
-    res = run_overlap_ft(config([CRASH]), evals_per_function=2)
+    res = run_overlap(config([CRASH]), evals_per_function=2,
+                      recovery=ULFM())
     # every survivor reported through the final agreement ...
     assert sorted(res.agreed_winner) == res.survivors
     # ... and they all obtained the same decision
@@ -47,7 +49,7 @@ def test_all_survivors_agree_on_the_winner():
 
 def test_no_fault_matches_plain_driver_decision():
     plain = run_overlap(config(), evals_per_function=2)
-    ft = run_overlap_ft(config(), evals_per_function=2)
+    ft = run_overlap(config(), evals_per_function=2, recovery=ULFM())
     assert ft.dead == [] and ft.repairs == 0
     assert ft.winner == plain.winner
     assert ft.decided_at == plain.decided_at
@@ -58,19 +60,20 @@ def test_checkpointed_restart_beats_cold_restart(tmp_path):
     store = CheckpointStore(str(tmp_path / "ckpt.json"))
 
     # first execution: crash, recover, checkpoint along the way
-    first = run_overlap_ft(
+    first = run_overlap(
         config([CRASH]), evals_per_function=2,
-        checkpoint=store, checkpoint_every=4,
+        recovery=ULFM(checkpoint=store, checkpoint_every=4),
     )
     assert first.checkpoints_written > 0
     key = "alltoall@whale:B65536"
     assert store.epoch(key) > 0
 
-    # cold restart re-learns from scratch; warm restart restores the
-    # journal and must re-run strictly fewer measurement iterations
-    cold = run_overlap_ft(config(), evals_per_function=2)
-    warm = run_overlap_ft(
-        config(), evals_per_function=2, restore_from=store.load(key),
+    # cold restart re-learns from scratch; warm restart finds the
+    # scenario in the store, restores the journal and must re-run
+    # strictly fewer measurement iterations
+    cold = run_overlap(config(), evals_per_function=2, recovery=ULFM())
+    warm = run_overlap(
+        config(), evals_per_function=2, recovery=ULFM(checkpoint=store),
     )
     assert warm.restored_epoch > 0
     assert warm.learning_iterations < cold.learning_iterations
@@ -79,25 +82,39 @@ def test_checkpointed_restart_beats_cold_restart(tmp_path):
 
 def test_max_repairs_zero_aborts_on_crash():
     with pytest.raises(RankFailedError):
-        run_overlap_ft(config([CRASH]), evals_per_function=2, max_repairs=0)
+        run_overlap(config([CRASH]), evals_per_function=2,
+                    recovery=ULFM(max_repairs=0))
 
 
 def test_respawn_wait_is_accounted():
-    res = run_overlap_ft(
+    res = run_overlap(
         config([RankCrash(5, 0.009, respawn_delay=1.5)]),
-        evals_per_function=2,
+        evals_per_function=2, recovery=ULFM(),
     )
     assert res.dead == [5]
     assert res.respawn_wait == pytest.approx(1.5)
 
 
 def test_two_crashes_two_repairs():
-    res = run_overlap_ft(
+    res = run_overlap(
         config([RankCrash(5, 0.009), RankCrash(2, 0.03)]),
-        evals_per_function=2,
+        evals_per_function=2, recovery=ULFM(),
     )
     assert res.dead == [2, 5]
     assert res.survivors == [0, 1, 3, 4, 6, 7]
     assert res.repairs == 2
     assert len(res.records) == 20
     assert len(set(res.agreed_winner.values())) == 1
+
+
+def test_checkpoint_signature_names_the_tuned_operation(tmp_path):
+    """The snapshot carries the operation's own spec kind, not the
+    alltoall kind every non-bcast operation used to get."""
+    store = CheckpointStore(str(tmp_path / "ckpt.json"))
+    cfg = OverlapConfig(platform="whale", nprocs=8, operation="allreduce",
+                        nbytes=1024, iterations=12)
+    res = run_overlap(cfg, evals_per_function=2,
+                      recovery=ULFM(checkpoint=store, checkpoint_every=4))
+    assert res.checkpoints_written > 0
+    snap = store.load("allreduce@whale:B1024")
+    assert snap["signature"] == "allreduce:P8:B1024:R0"

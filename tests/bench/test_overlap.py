@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import OverlapConfig, function_set_for, run_overlap
 from repro.errors import ReproError
+from repro.sim.faults import DropRule, FaultPlan
 from repro.units import KiB
 
 
@@ -56,6 +57,18 @@ def test_projected_total_extrapolates():
     assert proj == pytest.approx(
         res.mean_after_learning() * 1000, rel=0.25
     )
+
+
+def test_plain_run_reports_drops_and_retransmits():
+    """Transport counters are part of every result, not only of runs
+    under a recovery policy."""
+    plan = FaultPlan(drops=(DropRule(0.3, 0.0, 1.0),), seed=5)
+    cfg = OverlapConfig(nprocs=8, placement="cyclic", nbytes=16 * KiB,
+                        compute_total=2.0, iterations=6, faults=plan)
+    res = run_overlap(cfg, selector=0)
+    assert res.messages_dropped > 0
+    assert res.retransmits > 0
+    assert res.restarts == 0
 
 
 def test_noise_makes_runs_differ_but_seeds_reproduce():

@@ -87,17 +87,17 @@ def _config(sc: dict):
 
 def run(sc: dict):
     """Run one scenario the way ``repro tune`` would."""
-    from repro.bench.ft import run_overlap_ft
-    from repro.bench.overlap import run_overlap, run_overlap_resilient
+    from repro.adcl.resilience import Resilience
+    from repro.bench.overlap import ULFM, run_overlap
     from repro.nbc.schedule import SCHEDULE_CACHE
 
     SCHEDULE_CACHE.clear()
     cfg = _config(sc)
     kw = dict(selector=sc["selector"], evals_per_function=EVALS)
     if sc["kind"] == "resilient":
-        return run_overlap_resilient(cfg, **kw)
+        return run_overlap(cfg, recovery=Resilience(), **kw)
     if sc["kind"] == "ft":
-        return run_overlap_ft(cfg, **kw)
+        return run_overlap(cfg, recovery=ULFM(), **kw)
     if sc["kind"] == "traced":
         from repro.obs import TraceRecorder, install
 

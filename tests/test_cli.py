@@ -73,6 +73,31 @@ def test_fft_command(capsys):
     assert "libnbc" in out and "mpi" in out
 
 
+@pytest.mark.parametrize("argv, mode", [
+    (["--deadline", "0.5"], "--resilient"),
+    (["--ft", "--deadline", "0.5"], "--resilient"),
+    (["--checkpoint", "ckpt.json"], "--ft"),
+    (["--checkpoint-every", "4"], "--ft"),
+    (["--resilient", "--checkpoint", "ckpt.json"], "--ft"),
+])
+def test_tune_rejects_flags_of_another_mode(argv, mode, capsys, tmp_path,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--nprocs", "4", "--nbytes", "1KB"] + argv)
+    assert exc.value.code == 2
+    assert mode in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_tune_prints_drops_without_a_recovery_mode(capsys):
+    rc = main(["tune", "--nprocs", "16", "--nbytes", "1KB",
+               "--iterations", "8", "--evals", "2",
+               "--faults", "drop=0.05,seed=3"])
+    assert rc == 0
+    assert "messages dropped:" in capsys.readouterr().out
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
