@@ -89,13 +89,13 @@ def start_daemon(sock: str, data_dir: str, metrics: str, audit: str,
         cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
     deadline = time.monotonic() + 30.0
-    probe = TuningClient(f"unix:{sock}", timeout=0.5, attempts=1)
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            fail(f"daemon exited at startup:\n{proc.stdout.read()}")
-        if probe.ping():
-            return proc
-        time.sleep(0.05)
+    with TuningClient(f"unix:{sock}", timeout=0.5, attempts=1) as probe:
+        while time.monotonic() < deadline:
+            if proc.poll() is not None:
+                fail(f"daemon exited at startup:\n{proc.stdout.read()}")
+            if probe.ping():
+                return proc
+            time.sleep(0.05)
     fail("daemon did not answer ping within 30s")
 
 
@@ -109,9 +109,12 @@ def run_fleet(sock: str, expected: dict) -> dict:
     errors: list = []
 
     def one_client(idx: int) -> None:
-        client = TuningClient(f"unix:{sock}", timeout=2.0, attempts=2,
-                              backoff_base=0.05, backoff_cap=0.5,
-                              jitter_seed=idx)
+        with TuningClient(f"unix:{sock}", timeout=2.0, attempts=2,
+                          backoff_base=0.05, backoff_cap=0.5,
+                          jitter_seed=idx) as client:
+            decide_all(idx, client)
+
+    def decide_all(idx: int, client: TuningClient) -> None:
         budget = client.budget() + COMPUTE_SLACK_S
         calls = []
         # stagger starting points so the fleet hits different keys
@@ -227,6 +230,7 @@ def stage_wal_truncate_restart(tmp: str, expected: dict, rng) -> dict:
             if got != expected[request_key(req)]:
                 fail(f"recovered record for {request_key(req)} is corrupt")
             intact += 1
+    client.close()
     # the fleet must again converge to bit-identical decisions,
     # recomputing whatever the torn tail lost
     fleet = run_fleet(sock, expected)

@@ -680,31 +680,32 @@ def cmd_tune_serve(args) -> int:
     cfg = _overlap_config(args)
     req = normalize_request(_serve_request(args))
     corr = correlation_id(f"tune-serve|{cfg.describe()}|{args.selector}")
-    client = TuningClient(args.serve, timeout=args.serve_timeout,
-                          correlation=corr)
-    print(f"tuning {cfg.describe()} via the tuning service at {args.serve} "
-          f"[corr {corr}]")
-    print(f"network budget before degrading: {client.budget():.1f}s")
-    warm = client.warm(req)
-    if warm is not None and warm.get("decision"):
-        geo = warm.get("request") or {}
-        print(f"warm hint: nearest geometry P{geo.get('nprocs')}"
-              f":B{geo.get('nbytes')} decided "
-              f"{warm['decision'].get('winner')!r}")
-    t0 = time.perf_counter()
-    record = client.decide(req)
-    wall = time.perf_counter() - t0
-    decision = record["decision"]
-    if record["source"] == "service":
-        print(f"answered by the service in {wall:.2f}s "
-              f"(origin: {record.get('service_source')}, "
-              f"version {record.get('version')})")
-        # feed the drift detector a baseline-consistent measurement so
-        # the daemon has a report stream to compare future runs against
-        client.report(req, decision["mean_after_learning"])
-    else:
-        print(f"service unavailable — computed locally in {wall:.2f}s "
-              f"(bit-identical to the daemon's answer)")
+    with TuningClient(args.serve, timeout=args.serve_timeout,
+                      correlation=corr) as client:
+        print(f"tuning {cfg.describe()} via the tuning service at "
+              f"{args.serve} [corr {corr}]")
+        print(f"network budget before degrading: {client.budget():.1f}s")
+        warm = client.warm(req)
+        if warm is not None and warm.get("decision"):
+            geo = warm.get("request") or {}
+            print(f"warm hint: nearest geometry P{geo.get('nprocs')}"
+                  f":B{geo.get('nbytes')} decided "
+                  f"{warm['decision'].get('winner')!r}")
+        t0 = time.perf_counter()
+        record = client.decide(req)
+        wall = time.perf_counter() - t0
+        decision = record["decision"]
+        if record["source"] == "service":
+            print(f"answered by the service in {wall:.2f}s "
+                  f"(origin: {record.get('service_source')}, "
+                  f"version {record.get('version')})")
+            # feed the drift detector a baseline-consistent measurement
+            # so the daemon has a report stream to compare future runs
+            # against
+            client.report(req, decision["mean_after_learning"])
+        else:
+            print(f"service unavailable — computed locally in {wall:.2f}s "
+                  f"(bit-identical to the daemon's answer)")
     print(f"history key: {history_key(req)}")
     print(f"\ndecision at iteration {decision['decided_at']}: "
           f"{decision['winner']!r}")
@@ -733,7 +734,10 @@ def cmd_sweep(args) -> int:
         serve_client = TuningClient(args.serve, timeout=args.serve_timeout,
                                     correlation=corr)
         serve_key = f"adcl:{history_key(req)}"
-        prior = serve_client.lookup(serve_key)
+        # closed again before the fabric forks its workers; record()
+        # reopens it after the sweep
+        with serve_client:
+            prior = serve_client.lookup(serve_key)
         if prior is not None and prior.get("decision"):
             print(f"knowledge base already holds "
                   f"{prior['decision'].get('winner')!r} for this scenario "
@@ -745,8 +749,9 @@ def cmd_sweep(args) -> int:
     wall = time.perf_counter() - t0
     if serve_client is not None:
         best = min(rows, key=lambda row: row["mean_iteration"])
-        pushed = serve_client.record(
-            serve_key, {"winner": best["name"], "decided_at": 0})
+        with serve_client:
+            pushed = serve_client.record(
+                serve_key, {"winner": best["name"], "decided_at": 0})
         print(f"winner {best['name']!r} "
               + (f"recorded in the knowledge base as {serve_key}"
                  if pushed else

@@ -3,6 +3,12 @@
 :class:`TuningClient` talks the daemon's JSON-framed protocol, but its
 defining feature is every way it *stops* talking:
 
+* each client holds **one persistent connection**, opened on the
+  first RPC and reused by every later one; it is dropped whenever the
+  stream may be out of step (a transport or protocol error, a timeout,
+  EOF, a malformed reply), so a late reply is never read as the answer
+  to the next request, and reopened when ``endpoint`` changes or the
+  process forks;
 * every RPC carries a **socket timeout** — a wedged daemon costs a
   bounded wait, never a hang;
 * transient failures retry with **capped exponential backoff plus
@@ -33,9 +39,12 @@ learning working through daemon outages.
 
 from __future__ import annotations
 
+import os
 import random
+import socket
+import threading
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..adcl.history import HistoryStore
 from ..bench.fabric.protocol import ProtocolError, recv_frame, send_frame
@@ -53,7 +62,9 @@ class _Transient(Exception):
 
 
 class TuningClient:
-    """One endpoint, many RPCs; degrades instead of failing."""
+    """One endpoint, one connection, many RPCs; degrades instead of
+    failing.  ``close()`` (or a ``with`` block) releases the
+    connection; a closed client reopens it on its next RPC."""
 
     def __init__(self, endpoint: str, timeout: float = 2.0,
                  attempts: int = 3, backoff_base: float = 0.05,
@@ -80,6 +91,22 @@ class TuningClient:
         self.rpc_failed = 0
         self.busy_replies = 0
         self.degraded = 0
+        #: the open connection and the ``(endpoint, pid)`` that opened it
+        self._sock: Optional[socket.socket] = None
+        self._owner: Optional[Tuple[str, int]] = None
+        #: one RPC at a time: frames of two threads never interleave
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connection (idempotent)."""
+        with self._lock:
+            self._drop()
+
+    def __enter__(self) -> "TuningClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- wall-clock contract ------------------------------------------------
 
@@ -107,8 +134,54 @@ class TuningClient:
 
     # -- one framed RPC -----------------------------------------------------
 
+    def _drop(self) -> None:
+        """Forget the connection; the next RPC opens a fresh one."""
+        sock, self._sock, self._owner = self._sock, None, None
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:
+                pass
+
+    def _connection(self, timeout: float) -> Tuple[socket.socket, bool]:
+        """The connection and whether it is a reused one.  A connection
+        opened for another endpoint or in the parent of a fork is
+        replaced, never shared."""
+        owner = (self.endpoint, os.getpid())
+        if self._sock is not None and self._owner == owner:
+            return self._sock, True
+        self._drop()
+        sock = connect(self.endpoint, timeout)
+        sock.settimeout(timeout)
+        self._sock, self._owner = sock, owner
+        return sock, False
+
+    @staticmethod
+    def _exchange(sock: socket.socket, message: tuple) -> Optional[tuple]:
+        """Send one frame, read one reply; None when the peer had already
+        hung up (EPIPE/ECONNRESET on send, or EOF before a reply byte)."""
+        try:
+            send_frame(sock, message, codec="json")
+        except (BrokenPipeError, ConnectionResetError):
+            return None
+        return recv_frame(sock, codec="json", max_frame=SERVE_MAX_FRAME)
+
     def _rpc_once(self, message: tuple) -> tuple:
-        """One request/reply exchange on a fresh connection.
+        """One request/reply exchange on the client's connection.
+
+        The connection is opened on first use and kept while the stream
+        is known to be in step: a reply was read whole and was ``ok``,
+        ``busy``, ``pong`` or a typed ``err``.  Any transport or
+        protocol error, timeout, EOF or malformed reply drops it.
+
+        A *reused* connection the daemon already hung up on (a restart
+        or a drain closes idle connections) is reopened and the request
+        resent once, inside this attempt and within what is left of its
+        ``timeout``; that is not a failure.  A timeout is never followed
+        by a resend, so a wedged daemon still costs one ``timeout`` per
+        attempt.  Like the retry loop in :meth:`_call`, a resend is
+        at-least-once: a daemon that acted on the request and then died
+        before replying sees it twice.
 
         Raises ``_Transient`` for anything worth retrying (transport
         errors, protocol garbage, daemon-side internal errors) and
@@ -116,27 +189,29 @@ class TuningClient:
         deterministic — a retry or a local fallback would fail the same
         way, so they propagate immediately.
         """
-        try:
-            sock = connect(self.endpoint, self.timeout)
-        except OSError as exc:
-            raise _Transient(f"connect: {exc}") from exc
-        try:
-            sock.settimeout(self.timeout)
-            send_frame(sock, message, codec="json")
-            reply = recv_frame(sock, codec="json", max_frame=SERVE_MAX_FRAME)
-        except ProtocolError as exc:
-            raise _Transient(f"protocol: {exc}") from exc
-        except OSError as exc:
-            raise _Transient(f"transport: {exc}") from exc
-        finally:
+        with self._lock:
+            t0 = time.monotonic()
             try:
-                sock.close()
-            except OSError:
-                pass
-        if reply is None:
-            raise _Transient("connection closed before reply")
-        if not reply or not isinstance(reply[0], str):
-            raise _Transient(f"malformed reply: {reply!r}")
+                sock, reused = self._connection(self.timeout)
+                reply = self._exchange(sock, message)
+                left = self.timeout - (time.monotonic() - t0)
+                if reply is None and reused and left > 0:
+                    self._drop()
+                    sock, _ = self._connection(left)
+                    reply = self._exchange(sock, message)
+                    sock.settimeout(self.timeout)
+            except ProtocolError as exc:
+                self._drop()
+                raise _Transient(f"protocol: {exc}") from exc
+            except OSError as exc:
+                self._drop()
+                raise _Transient(f"transport: {exc}") from exc
+            if reply is None:
+                self._drop()
+                raise _Transient("connection closed before reply")
+            if not reply or not isinstance(reply[0], str):
+                self._drop()
+                raise _Transient(f"malformed reply: {reply!r}")
         if reply[0] == "err":
             kind = reply[1] if len(reply) > 1 else "?"
             text = reply[2] if len(reply) > 2 else ""

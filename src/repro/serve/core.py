@@ -21,6 +21,7 @@ import math
 from typing import Any, Dict, Optional
 
 from ..bench.overlap import (
+    OPERATION_KINDS,
     OverlapConfig,
     default_iterations,
     function_set_for,
@@ -130,7 +131,7 @@ def history_key(req: dict) -> str:
     (``fnset@platform:kind:P..:B..:R..``) — the bridge between the
     service's knowledge base and ADCL historic learning."""
     fnset = function_set_for(req["operation"])
-    kind = "bcast" if req["operation"] == "bcast" else "alltoall"
+    kind = OPERATION_KINDS[req["operation"]]
     root = 0
     return (f"{fnset.name}@{req['platform']}:"
             f"{kind}:P{req['nprocs']}:B{req['nbytes']}:R{root}")

@@ -298,15 +298,17 @@ class TuningServer:
                                   if x.is_alive()]
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        """Serve frames until EOF or shutdown.  Clients keep one
+        connection open across RPCs, so shutdown is checked between
+        frames as well as on every idle tick: ``stop()`` closes idle
+        and busy connections alike within its drain bound."""
         conn.settimeout(self.config.idle_tick)
         try:
-            while True:
+            while not self._shutdown.is_set():
                 try:
                     message = recv_frame(conn, codec="json",
                                          max_frame=SERVE_MAX_FRAME)
                 except socket.timeout:
-                    if self._shutdown.is_set():
-                        return
                     continue
                 except ProtocolError as exc:
                     # malformed bytes: answer with a typed error (so a

@@ -18,6 +18,7 @@ from repro.serve import (
     TuningServer,
     compute_decision,
     normalize_request,
+    request_key,
 )
 
 FIELDS = {"operation": "alltoall", "nprocs": 4, "nbytes": 1024,
@@ -319,3 +320,147 @@ def test_tcp_endpoint_with_ephemeral_port(tmp_path):
         assert c.decide(FIELDS)["source"] == "service"
     finally:
         srv.stop()
+
+
+# -- one persistent connection per client -----------------------------------
+
+
+def test_one_connection_serves_every_rpc(server):
+    with _client(server) as c:
+        c.decide(FIELDS)                      # miss
+        for _ in range(3):
+            c.decide(FIELDS)                  # hits
+        assert c.lookup(request_key(normalize_request(FIELDS)))["decision"]
+        assert c.record("adcl:one-conn", {"winner": "linear",
+                                          "decided_at": 1})
+        assert c.warm(dict(FIELDS, nbytes=2048)) is not None
+        assert c.ping()
+        assert c.rpc_failed == 0
+    assert server.metrics.counter("serve.connections").value == 1
+
+
+def test_timed_out_reply_is_never_read_as_the_next_answer(tmp_path):
+    """A ``get`` times out on a slow compute; its late reply must not
+    answer the client's next requests."""
+    gate = threading.Event()
+
+    def slow_compute(req):
+        gate.wait(20.0)
+        return compute_decision(req)
+
+    cfg = ServeConfig(endpoint=f"unix:{tmp_path}/t.sock",
+                      data_dir=str(tmp_path / "kb"), workers=1)
+    srv = TuningServer(cfg, compute=slow_compute)
+    srv.start()
+    try:
+        with TuningClient(cfg.endpoint, timeout=0.3, attempts=1,
+                          fallback=False) as c:
+            with pytest.raises(ServiceUnavailable):
+                c.decide(FIELDS)
+            assert c.rpc_failed == 1
+            gate.set()
+            # let the daemon finish and send its late reply
+            deadline = time.monotonic() + 20.0
+            while srv.metrics.counter("serve.miss.computed").value == 0 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+            c.timeout = 10.0
+            assert c.ping()
+            own = {"winner": "linear", "decided_at": 7}
+            assert c.record("adcl:own", own)
+            record = c.lookup("adcl:own")
+            assert record["key"] == "adcl:own"
+            assert record["decision"] == own
+            assert c.rpc_failed == 1
+    finally:
+        srv.stop()
+
+
+@pytest.mark.parametrize("scheme", ["unix", "tcp"])
+def test_reused_connection_survives_daemon_restart(tmp_path, scheme):
+    """The first daemon's stop() closes the client's idle connection;
+    the next RPC reconnects to the new daemon without a failure."""
+    endpoint = (f"unix:{tmp_path}/t.sock" if scheme == "unix"
+                else "tcp:127.0.0.1:0")
+    cfg = ServeConfig(endpoint=endpoint, data_dir=str(tmp_path / "kb"),
+                      workers=1)
+    srv = TuningServer(cfg)
+    srv.start()
+    if scheme == "tcp":
+        cfg.endpoint = f"tcp:127.0.0.1:{srv.address[1]}"
+    c = TuningClient(cfg.endpoint, timeout=10.0)
+    try:
+        assert c.decide(FIELDS)["source"] == "service"
+    finally:
+        srv.stop()
+    srv2 = TuningServer(cfg)
+    srv2.start()
+    try:
+        record = c.decide(FIELDS)
+        assert record["source"] == "service"
+        assert c.rpc_failed == 0
+        assert srv2.metrics.counter("serve.connections").value == 1
+    finally:
+        c.close()
+        srv2.stop()
+
+
+def test_reassigned_endpoint_drops_the_old_connection(server, tmp_path):
+    c = _client(server)
+    assert c.ping()
+    c.endpoint = f"unix:{tmp_path}/dead.sock"
+    c.attempts = 1
+    c.timeout = 0.2
+    assert not c.ping()
+    assert c.lookup("adcl:anything") is None
+    assert c.rpc_failed >= 1
+    assert server.metrics.counter("serve.ops.ping").value == 1
+    assert server.metrics.counter("serve.ops.lookup").value == 0
+
+
+def test_forked_child_opens_its_own_connection(server):
+    c = _client(server)
+    assert c.ping()
+    pid = os.fork()
+    if pid == 0:  # the child must not write into the parent's stream
+        os._exit(0 if c.ping() else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WEXITSTATUS(status) == 0
+    assert c.ping()
+    c.close()
+    assert server.metrics.counter("serve.connections").value == 2
+    assert server.metrics.counter("serve.ops.ping").value == 3
+
+
+def test_stop_returns_promptly_with_persistent_clients(tmp_path):
+    """One client idles on its connection, another keeps sending on
+    its own: stop() must close both well inside the drain bound."""
+    cfg = ServeConfig(endpoint=f"unix:{tmp_path}/t.sock",
+                      data_dir=str(tmp_path / "kb"), workers=1,
+                      drain_timeout=5.0)
+    srv = TuningServer(cfg)
+    srv.start()
+    idle = TuningClient(cfg.endpoint, timeout=10.0)
+    busy = TuningClient(cfg.endpoint, timeout=10.0, attempts=1)
+    assert idle.ping() and busy.ping()
+    done = threading.Event()
+
+    def hammer():
+        while not done.is_set() and busy.ping():
+            pass
+
+    t = threading.Thread(target=hammer)
+    t.start()
+    try:
+        time.sleep(0.2)
+        t0 = time.monotonic()
+        srv.stop()
+        wall = time.monotonic() - t0
+    finally:
+        done.set()
+        t.join(timeout=10.0)
+    assert wall < 2.0
+    assert not t.is_alive()
+    idle.close()
+    busy.close()
