@@ -16,37 +16,30 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete runnable walk-through.
 """
 
-from . import adcl, apps, bench, nbc, sim
-from .errors import (
-    AdclError,
-    DeadlockError,
-    HistoryError,
-    MatchingError,
-    ReproError,
-    ScheduleError,
-    SelectionError,
-    SimulationError,
-)
-from .sim import NoiseModel, SimWorld, get_platform
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdclError",
-    "DeadlockError",
-    "HistoryError",
-    "MatchingError",
-    "NoiseModel",
-    "ReproError",
-    "ScheduleError",
-    "SelectionError",
-    "SimWorld",
-    "SimulationError",
-    "__version__",
-    "adcl",
-    "apps",
-    "bench",
-    "get_platform",
-    "nbc",
-    "sim",
-]
+#: public name -> submodule defining it (None: the subpackage itself),
+#: imported on first use
+_EXPORTS = {
+    "AdclError": ".errors",
+    "DeadlockError": ".errors",
+    "HistoryError": ".errors",
+    "MatchingError": ".errors",
+    "NoiseModel": ".sim.noise",
+    "ReproError": ".errors",
+    "ScheduleError": ".errors",
+    "SelectionError": ".errors",
+    "SimWorld": ".sim.mpi",
+    "SimulationError": ".errors",
+    "adcl": None,
+    "apps": None,
+    "bench": None,
+    "get_platform": ".sim.platforms",
+    "nbc": None,
+    "sim": None,
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -17,61 +17,42 @@ collective operations.  Main concepts:
   executions.
 """
 
-from .attributes import Attribute, AttributeSet
-from .checkpoint import CheckpointStore, restore, snapshot
-from .cotuning import CoTuner
-from .fnsets import (
-    IBCAST_SEGSIZES,
-    iallgather_function_set,
-    ialltoall_extended_function_set,
-    ialltoall_function_set,
-    ibcast_function_set,
-    ireduce_function_set,
-)
-from .function import CollFunction, CollSpec, FunctionSet
-from .history import HistoryStore
-from .request import ADCLRequest, SELECTOR_NAMES, make_selector
-from .resilience import Resilience
-from .selection import (
-    BruteForceSelector,
-    FactorialSelector,
-    FixedSelector,
-    HeuristicSelector,
-    Selector,
-)
-from .statistics import DriftDetector, FILTER_METHODS, filter_outliers, robust_mean
-from .timer import ADCLTimer, TimerRecord
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADCLRequest",
-    "ADCLTimer",
-    "Attribute",
-    "AttributeSet",
-    "BruteForceSelector",
-    "CheckpointStore",
-    "CoTuner",
-    "CollFunction",
-    "CollSpec",
-    "DriftDetector",
-    "FILTER_METHODS",
-    "FactorialSelector",
-    "FixedSelector",
-    "FunctionSet",
-    "HeuristicSelector",
-    "HistoryStore",
-    "IBCAST_SEGSIZES",
-    "Resilience",
-    "SELECTOR_NAMES",
-    "Selector",
-    "TimerRecord",
-    "filter_outliers",
-    "iallgather_function_set",
-    "ialltoall_extended_function_set",
-    "ialltoall_function_set",
-    "ibcast_function_set",
-    "ireduce_function_set",
-    "make_selector",
-    "restore",
-    "robust_mean",
-    "snapshot",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "ADCLRequest": ".request",
+    "ADCLTimer": ".timer",
+    "Attribute": ".attributes",
+    "AttributeSet": ".attributes",
+    "BruteForceSelector": ".selection",
+    "CheckpointStore": ".checkpoint",
+    "CoTuner": ".cotuning",
+    "CollFunction": ".function",
+    "CollSpec": ".function",
+    "DriftDetector": ".statistics",
+    "FILTER_METHODS": ".statistics",
+    "FactorialSelector": ".selection",
+    "FixedSelector": ".selection",
+    "FunctionSet": ".function",
+    "HeuristicSelector": ".selection",
+    "HistoryStore": ".history",
+    "IBCAST_SEGSIZES": ".fnsets",
+    "Resilience": ".resilience",
+    "SELECTOR_NAMES": ".request",
+    "Selector": ".selection",
+    "TimerRecord": ".timer",
+    "filter_outliers": ".statistics",
+    "iallgather_function_set": ".fnsets",
+    "ialltoall_extended_function_set": ".fnsets",
+    "ialltoall_function_set": ".fnsets",
+    "ibcast_function_set": ".fnsets",
+    "ireduce_function_set": ".fnsets",
+    "make_selector": ".request",
+    "restore": ".checkpoint",
+    "robust_mean": ".statistics",
+    "snapshot": ".checkpoint",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -15,10 +15,7 @@
 
 from __future__ import annotations
 
-
-from typing import Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..nbc.hier import (
     compiled_hier_ialltoall,
@@ -40,11 +37,14 @@ from ..nbc.ireduce_scatter import (
     REDUCE_SCATTER_ALGORITHMS,
     compiled_ireduce_scatter,
 )
-from ..nbc.request import NBCRequest, make_buffers
+from ..nbc.request import NBCRequest, make_buffers, scratch_buffer
 from ..sim.mpi import MPIContext
 from ..units import KiB
 from .attributes import Attribute, AttributeSet
 from .function import CollFunction, CollSpec, FunctionSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IBCAST_SEGSIZES",
@@ -164,7 +164,7 @@ def _alltoall_maker(algorithm: str, ctx: MPIContext, spec: CollSpec,
             comm.size, spec.nbytes, algorithm
         ).items():
             if name not in bufs:
-                bufs[name] = np.empty(nbytes, dtype=np.uint8)
+                bufs[name] = scratch_buffer(nbytes)
     return NBCRequest(sched, comm, rank, bufs).start(ctx)
 
 
@@ -179,7 +179,7 @@ def _hier_alltoall_maker(ctx, spec: CollSpec, buffers) -> NBCRequest:
             comm.size, rank, spec.nbytes, groups
         ).items():
             if name not in bufs:
-                bufs[name] = np.empty(nbytes, dtype=np.uint8)
+                bufs[name] = scratch_buffer(nbytes)
     return NBCRequest(sched, comm, rank, bufs).start(ctx)
 
 
@@ -274,8 +274,8 @@ def ireduce_function_set(segsizes=(0, 64 * KiB)) -> FunctionSet:
                                          algorithm, segsize=segsize)
                 bufs = _as_buffers(buffers)
                 if bufs is not None:
-                    bufs.setdefault("acc", np.empty(spec.nbytes, np.uint8))
-                    bufs.setdefault("in", np.empty(spec.nbytes, np.uint8))
+                    bufs.setdefault("acc", scratch_buffer(spec.nbytes))
+                    bufs.setdefault("in", scratch_buffer(spec.nbytes))
                 return NBCRequest(sched, comm, rank, bufs).start(ctx)
 
             seg_label = "noseg" if segsize == 0 else f"seg{segsize // KiB}KB"
@@ -332,8 +332,8 @@ def ireduce_scatter_function_set() -> FunctionSet:
             bufs = _as_buffers(buffers)
             if bufs is not None:
                 full = comm.size * spec.nbytes
-                bufs.setdefault("acc", np.empty(full, np.uint8))
-                bufs.setdefault("in", np.empty(full, np.uint8))
+                bufs.setdefault("acc", scratch_buffer(full))
+                bufs.setdefault("in", scratch_buffer(full))
             return NBCRequest(sched, comm, rank, bufs).start(ctx)
 
         functions.append(CollFunction(
@@ -360,8 +360,8 @@ def iallreduce_function_set() -> FunctionSet:
                                         algorithm, groups=groups)
             bufs = _as_buffers(buffers)
             if bufs is not None:
-                bufs.setdefault("acc", np.empty(spec.nbytes, np.uint8))
-                bufs.setdefault("in", np.empty(spec.nbytes, np.uint8))
+                bufs.setdefault("acc", scratch_buffer(spec.nbytes))
+                bufs.setdefault("in", scratch_buffer(spec.nbytes))
             return NBCRequest(sched, comm, rank, bufs).start(ctx)
 
         functions.append(CollFunction(

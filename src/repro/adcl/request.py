@@ -28,9 +28,7 @@ locations — the paper's solution for timing non-blocking operations.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from ..errors import AdclError
 from ..obs.recorder import get_recorder
@@ -40,10 +38,13 @@ from .function import CollSpec, FunctionSet
 from .history import HistoryLike
 from .resilience import Resilience
 from .selection.base import FixedSelector, Selector
-from .statistics import DriftDetector, filter_outliers
+from .statistics import DriftDetector, clean_samples
 from .selection.brute_force import BruteForceSelector
 from .selection.factorial import FactorialSelector
 from .selection.heuristic import HeuristicSelector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ADCLRequest", "make_selector", "SELECTOR_NAMES"]
 
@@ -390,10 +391,10 @@ class ADCLRequest:
                 continue
             entry: dict = {"index": i, "name": self.fnset[i].name, "n": n}
             if n:
-                kept = filter_outliers(log.samples[i],
-                                       method=log.filter_method)
-                entry["kept"] = int(kept.size)
-                entry["discarded"] = n - int(kept.size)
+                kept = len(clean_samples(log.samples[i],
+                                         method=log.filter_method))
+                entry["kept"] = kept
+                entry["discarded"] = n - kept
                 entry["estimate"] = log.estimate(i)
             if quarantined is not None:
                 entry["quarantined"] = quarantined[0]

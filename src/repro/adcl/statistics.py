@@ -20,43 +20,111 @@ Three estimators are provided:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import AdclError
 
-__all__ = ["robust_mean", "filter_outliers", "DriftDetector", "FILTER_METHODS"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["robust_mean", "filter_outliers", "clean_samples", "DriftDetector",
+           "FILTER_METHODS"]
 
 FILTER_METHODS = ("mean", "iqr", "cluster")
+
+#: numpy's pairwise summation: blocks up to this size are summed with
+#: eight interleaved accumulators, longer ones split in two
+_PW_BLOCK = 128
+
+
+def _pairwise_sum(vals: List[float], lo: int, n: int) -> float:
+    """Sum ``vals[lo:lo + n]`` in numpy's pairwise order, bit for bit."""
+    if n < 8:
+        res = -0.0
+        for i in range(lo, lo + n):
+            res += vals[i]
+        return res
+    if n <= _PW_BLOCK:
+        r0, r1, r2, r3, r4, r5, r6, r7 = vals[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += vals[i]
+            r1 += vals[i + 1]
+            r2 += vals[i + 2]
+            r3 += vals[i + 3]
+            r4 += vals[i + 4]
+            r5 += vals[i + 5]
+            r6 += vals[i + 6]
+            r7 += vals[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += vals[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(vals, lo, n2) + _pairwise_sum(vals, lo + n2, n - n2)
+
+
+def _mean(vals: List[float]) -> float:
+    """``numpy.mean`` of a float64 vector, bit for bit."""
+    return (-0.0 + _pairwise_sum(vals, 0, len(vals))) / len(vals)
+
+
+def _quartiles(vals: List[float]) -> tuple:
+    """``numpy.percentile(vals, [25, 75])`` (linear method), bit for bit;
+    ``len(vals) >= 4``."""
+    ordered = sorted(vals)
+    out = []
+    for q in (0.25, 0.75):
+        virtual = (len(ordered) - 1) * q
+        below = int(virtual)
+        gamma = virtual - below
+        a, b = ordered[below], ordered[below + 1]
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return tuple(out)
+
+
+def clean_samples(samples: Sequence[float], method: str = "cluster",
+                  rtol: float = 0.25) -> List[float]:
+    """The samples the estimator considers clean, as a list of floats."""
+    vals = [float(x) for x in samples]
+    if not vals:
+        raise AdclError("cannot filter an empty sample set")
+    if method == "mean":
+        return vals
+    if method == "iqr":
+        if len(vals) < 4:
+            return vals
+        q1, q3 = _quartiles(vals)
+        iqr = q3 - q1
+        low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+        kept = [v for v in vals if low <= v <= high]
+        return kept or vals
+    if method == "cluster":
+        bound = min(vals) * (1.0 + rtol)
+        kept = [v for v in vals if v <= bound]
+        return kept or vals
+    raise AdclError(f"unknown filter method {method!r}; expected {FILTER_METHODS}")
 
 
 def filter_outliers(samples: Sequence[float], method: str = "cluster",
                     rtol: float = 0.25) -> np.ndarray:
     """Return the subset of ``samples`` the estimator considers clean."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise AdclError("cannot filter an empty sample set")
-    if method == "mean":
-        return arr
-    if method == "iqr":
-        if arr.size < 4:
-            return arr
-        q1, q3 = np.percentile(arr, [25, 75])
-        iqr = q3 - q1
-        mask = (arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)
-        return arr[mask] if mask.any() else arr
-    if method == "cluster":
-        lo = arr.min()
-        kept = arr[arr <= lo * (1.0 + rtol)]
-        return kept if kept.size else arr
-    raise AdclError(f"unknown filter method {method!r}; expected {FILTER_METHODS}")
+    import numpy as np
+
+    return np.asarray(clean_samples(samples, method=method, rtol=rtol),
+                      dtype=float)
 
 
 def robust_mean(samples: Sequence[float], method: str = "cluster",
                 rtol: float = 0.25) -> float:
-    """Outlier-filtered mean of a measurement series."""
-    return float(filter_outliers(samples, method=method, rtol=rtol).mean())
+    """Outlier-filtered mean of a measurement series.
+
+    Pure Python, yet bit-identical to ``filter_outliers(...).mean()``:
+    the sum follows numpy's pairwise order.
+    """
+    return _mean(clean_samples(samples, method=method, rtol=rtol))
 
 
 class DriftDetector:

@@ -8,23 +8,24 @@
   LibNBC, ADCL, extended-ADCL and blocking-MPI methods.
 """
 
-from .cost import fft_flops, fft_seconds, line_fft_seconds, plane_fft_seconds
-from .decomposition import SlabDecomposition
-from .kernel import FFT_METHODS, FFTConfig, FFTResult, run_fft
-from .patterns import DEFAULT_TILE, PATTERNS, Pattern, get_pattern
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_TILE",
-    "FFT_METHODS",
-    "FFTConfig",
-    "FFTResult",
-    "PATTERNS",
-    "Pattern",
-    "SlabDecomposition",
-    "fft_flops",
-    "fft_seconds",
-    "get_pattern",
-    "line_fft_seconds",
-    "plane_fft_seconds",
-    "run_fft",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "DEFAULT_TILE": ".patterns",
+    "FFTConfig": ".kernel",
+    "FFTResult": ".kernel",
+    "FFT_METHODS": ".kernel",
+    "PATTERNS": ".patterns",
+    "Pattern": ".patterns",
+    "SlabDecomposition": ".decomposition",
+    "fft_flops": ".cost",
+    "fft_seconds": ".cost",
+    "get_pattern": ".patterns",
+    "line_fft_seconds": ".cost",
+    "plane_fft_seconds": ".cost",
+    "run_fft": ".kernel",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

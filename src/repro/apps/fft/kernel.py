@@ -37,7 +37,10 @@ from ...adcl.selection.base import FixedSelector
 from ...adcl.timer import ADCLTimer, TimerRecord
 from ...errors import ReproError
 from ...nbc.coll import start_ialltoall
-from ...sim import Barrier, Compute, NoiseModel, Progress, SimWorld, Wait, get_platform
+from ...sim.mpi import SimWorld
+from ...sim.noise import NoiseModel
+from ...sim.platforms import get_platform
+from ...sim.process import Barrier, Compute, Progress, Wait
 from .cost import line_fft_seconds, plane_fft_seconds
 from .decomposition import SlabDecomposition
 from .patterns import get_pattern

@@ -16,63 +16,38 @@
   heartbeats, respawn, work stealing, chaos hooks.
 """
 
-from .fabric import (
-    FabricConfig,
-    FabricError,
-    result_fingerprint,
-    run_tasks_fabric,
-)
-from .overlap import (
-    OPERATION_KINDS,
-    OverlapConfig,
-    OverlapResult,
-    ULFM,
-    default_iterations,
-    function_set_for,
-    run_overlap,
-)
-from .parallel import (
-    ResultCache,
-    derive_seed,
-    fft_methods,
-    run_tasks,
-    sweep_implementations,
-    task_key,
-)
-from .report import format_bars, format_series, format_table
-from .runner import SweepResult, bench_seed, paper_scale, scaled
-from .verification import (
-    CORRECTNESS_TOLERANCE,
-    VerificationResult,
-    run_verification,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CORRECTNESS_TOLERANCE",
-    "FabricConfig",
-    "FabricError",
-    "OPERATION_KINDS",
-    "OverlapConfig",
-    "OverlapResult",
-    "ResultCache",
-    "SweepResult",
-    "ULFM",
-    "VerificationResult",
-    "bench_seed",
-    "default_iterations",
-    "derive_seed",
-    "fft_methods",
-    "format_bars",
-    "format_series",
-    "format_table",
-    "function_set_for",
-    "paper_scale",
-    "result_fingerprint",
-    "run_overlap",
-    "run_tasks",
-    "run_tasks_fabric",
-    "run_verification",
-    "scaled",
-    "sweep_implementations",
-    "task_key",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "CORRECTNESS_TOLERANCE": ".verification",
+    "FabricConfig": ".fabric.master",
+    "FabricError": ".fabric.master",
+    "OPERATION_KINDS": ".operations",
+    "OverlapConfig": ".overlap",
+    "OverlapResult": ".overlap",
+    "ResultCache": ".parallel",
+    "SweepResult": ".runner",
+    "ULFM": ".overlap",
+    "VerificationResult": ".verification",
+    "bench_seed": ".runner",
+    "default_iterations": ".overlap",
+    "derive_seed": ".parallel",
+    "fft_methods": ".parallel",
+    "format_bars": ".report",
+    "format_series": ".report",
+    "format_table": ".report",
+    "function_set_for": ".overlap",
+    "paper_scale": ".runner",
+    "result_fingerprint": ".fabric.protocol",
+    "run_overlap": ".overlap",
+    "run_tasks": ".parallel",
+    "run_tasks_fabric": ".fabric.master",
+    "run_verification": ".verification",
+    "scaled": ".runner",
+    "sweep_implementations": ".parallel",
+    "task_key": ".parallel",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

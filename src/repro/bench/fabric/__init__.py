@@ -28,15 +28,17 @@ bit-identical fingerprints — so serial, fabric, chaos-interrupted and
 resumed runs all return byte-equal summaries.
 """
 
-from .leases import LeaseTable, TaskState
-from .master import FabricConfig, FabricError, run_tasks_fabric
-from .protocol import result_fingerprint
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "FabricConfig",
-    "FabricError",
-    "LeaseTable",
-    "TaskState",
-    "result_fingerprint",
-    "run_tasks_fabric",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "FabricConfig": ".master",
+    "FabricError": ".master",
+    "LeaseTable": ".leases",
+    "TaskState": ".leases",
+    "result_fingerprint": ".protocol",
+    "run_tasks_fabric": ".master",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -47,18 +47,15 @@ from ..errors import (
     WatchdogTimeout,
 )
 from ..nbc.coll import barrier as nbc_barrier
-from ..sim import (
-    Barrier,
-    Compute,
-    ComputeProgressSpan,
-    FaultPlan,
-    NoiseModel,
-    Progress,
-    SimWorld,
-    get_platform,
-)
+from ..sim.faults import FaultPlan
+from ..sim.mpi import SimWorld
+from ..sim.noise import NoiseModel
+from ..sim.platforms import get_platform
+from ..sim.process import Barrier, Compute, ComputeProgressSpan, Progress
+from .operations import OPERATION_KINDS
 
 __all__ = [
+    "OPERATION_KINDS",
     "OverlapConfig",
     "OverlapResult",
     "Recovery",
@@ -67,19 +64,6 @@ __all__ = [
     "function_set_for",
     "run_overlap",
 ]
-
-
-#: benchmark operation -> the :class:`CollSpec` kind it tunes
-OPERATION_KINDS = {
-    "alltoall": "alltoall",
-    "alltoall_ext": "alltoall",
-    "alltoall_hier": "alltoall",
-    "bcast": "bcast",
-    "bcast_hier": "bcast",
-    "allgatherv": "allgatherv",
-    "reduce_scatter": "reduce_scatter",
-    "allreduce": "allreduce",
-}
 
 
 def function_set_for(operation: str) -> FunctionSet:

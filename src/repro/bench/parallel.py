@@ -359,7 +359,7 @@ def _fft_worker(payload) -> dict:
     config, method = payload
     # local import: keep bench importable without the apps package and
     # avoid a bench <-> apps import cycle at module load
-    from ..apps.fft import run_fft
+    from ..apps.fft.kernel import run_fft
 
     res = run_fft(config)
     out = _records_summary(res)

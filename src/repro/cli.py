@@ -56,38 +56,15 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .adcl.checkpoint import CheckpointStore
-from .adcl.resilience import Resilience
-from .apps.fft import FFTConfig
-from .bench import (
-    OPERATION_KINDS,
-    OverlapConfig,
-    ResultCache,
-    ULFM,
-    default_iterations,
-    fft_methods,
-    format_bars,
-    format_table,
-    function_set_for,
-    run_overlap,
-    sweep_implementations,
-)
-from .nbc.schedule import schedule_cache_stats
-from .obs import (
-    TraceRecorder,
-    attach_explanations,
-    build_trace_doc,
-    correlation_id,
-    dump_trace,
-    install,
-    merge_snapshots,
-    render_report,
-)
-from .obs.report import validate_or_errors
-from .sim import FaultPlan, RankCrash, available_platforms, get_platform
+from .bench.operations import OPERATION_KINDS
 from .units import fmt_time, parse_size
+
+if TYPE_CHECKING:
+    from .bench.overlap import OverlapConfig
+    from .bench.parallel import ResultCache
+    from .sim.faults import FaultPlan
 
 __all__ = ["main", "build_parser"]
 
@@ -96,6 +73,8 @@ SWEEP_ITERATIONS = 20
 
 
 def _parse_fault_plan(spec: str) -> FaultPlan:
+    from .sim.faults import FaultPlan
+
     try:
         return FaultPlan.parse(spec)
     except Exception as exc:
@@ -104,6 +83,8 @@ def _parse_fault_plan(spec: str) -> FaultPlan:
 
 def _parse_crashes(spec: str) -> tuple:
     """Parse the ``--crash`` mini-language: ``RANK@T[:RESPAWN][,...]``."""
+    from .sim.faults import RankCrash
+
     crashes = []
     for clause in spec.split(","):
         clause = clause.strip()
@@ -454,6 +435,8 @@ def _print_stats(wall: float, events: int, cache: Optional[ResultCache],
                  fabric=None) -> None:
     """The ``--stats`` footer: wall-clock + throughput + cache efficacy
     + (for fabric runs) the PR-4 metrics-registry fabric counters."""
+    from .nbc.schedule import schedule_cache_stats
+
     rate = events / wall if wall > 0 else float("inf")
     print(f"\nwall-clock            {wall:.3f} s")
     print(f"events dispatched     {events}")
@@ -508,10 +491,14 @@ def _write_obs_outputs(args, scenario: str, tasks, audit, metrics,
     document and appends the deterministic "why this candidate
     won/lost" entries to its audit log.
     """
+    from .obs.export import build_trace_doc, dump_trace
+
     if args.trace:
         doc = build_trace_doc(tasks, scenario=scenario, audit=audit,
                               metrics=metrics, correlation=correlation)
         if explain:
+            from .obs.critpath import attach_explanations
+
             attach_explanations(doc)
         dump_trace(doc, args.trace)
         print(f"trace written to {args.trace}  "
@@ -531,13 +518,19 @@ def _iterations(args) -> int:
     evals = getattr(args, "evals", None)
     if evals is None:
         return SWEEP_ITERATIONS
+    from .bench.overlap import default_iterations
+
     return default_iterations(args.operation, evals)
 
 
 def _overlap_config(args) -> OverlapConfig:
+    from .bench.overlap import OverlapConfig
+
     faults = args.faults
     crashes = getattr(args, "crash", None)
     if crashes:
+        from .sim.faults import FaultPlan
+
         base = faults if faults is not None else FaultPlan()
         faults = dataclasses.replace(base, crashes=base.crashes + crashes)
     return OverlapConfig(
@@ -555,6 +548,9 @@ def _overlap_config(args) -> OverlapConfig:
 
 
 def cmd_platforms() -> int:
+    from .bench.report import format_table
+    from .sim.platforms import available_platforms, get_platform
+
     rows = []
     for name in available_platforms():
         plat = get_platform(name)
@@ -579,8 +575,6 @@ def _fabric_config(args, cache, correlation: str = ""):
     Returns ``None`` for serial runs.  ``--resume`` is only meaningful
     against a checkpoint, so it demands ``--result-cache``.
     """
-    from .bench.fabric import FabricConfig
-
     if getattr(args, "resume", False) and cache is None:
         print("error: --resume continues a sweep from its checkpoint; "
               "pass the sweep's --result-cache DIR as well",
@@ -588,6 +582,8 @@ def _fabric_config(args, cache, correlation: str = ""):
         raise SystemExit(2)  # argparse's usage-error convention
     if args.jobs <= 1:
         return None
+    from .bench.fabric.master import FabricConfig
+
     defects = (os.path.join(args.result_cache, "fabric_defects.json")
                if args.result_cache else None)
     return FabricConfig(
@@ -624,7 +620,7 @@ def _serve_request(args) -> dict:
 
 
 def cmd_serve(args) -> int:
-    from .serve import ServeConfig, TuningServer
+    from .serve.server import ServeConfig, TuningServer
 
     endpoint = (f"unix:{args.socket}" if args.socket
                 else f"tcp:{args.host}:{args.port}")
@@ -663,7 +659,8 @@ def cmd_serve(args) -> int:
 
 def cmd_tune_serve(args) -> int:
     """``tune --serve``: ask the daemon, degrade locally if it is gone."""
-    from .serve import TuningClient
+    from .obs.telemetry import correlation_id
+    from .serve.client import TuningClient
     from .serve.core import history_key, normalize_request
 
     for flag in ("resilient", "ft"):
@@ -715,6 +712,11 @@ def cmd_tune_serve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .bench.overlap import function_set_for
+    from .bench.parallel import ResultCache, sweep_implementations
+    from .bench.report import format_bars
+    from .obs.telemetry import correlation_id
+
     cfg = _overlap_config(args)
     fnset = function_set_for(args.operation)
     cache = ResultCache(args.result_cache) if args.result_cache else None
@@ -727,7 +729,7 @@ def cmd_sweep(args) -> int:
     where = f" ({args.jobs} fabric workers)" if args.jobs > 1 else ""
     serve_client = serve_key = None
     if args.serve:
-        from .serve import TuningClient
+        from .serve.client import TuningClient
         from .serve.core import history_key, normalize_request
 
         req = normalize_request(_serve_request(args))
@@ -763,6 +765,8 @@ def cmd_sweep(args) -> int:
     print()
     print(format_bars(times, title="mean iteration time per implementation"))
     if trace_on:
+        from .obs.metrics import merge_snapshots
+
         # one Chrome process per implementation, assembled in task order
         # so serial/parallel/cached sweeps produce byte-identical docs
         _write_obs_outputs(
@@ -797,12 +801,18 @@ def cmd_tune(args) -> int:
             raise SystemExit(2)  # argparse's usage-error convention
     if args.serve:
         return cmd_tune_serve(args)
+    from .bench.overlap import ULFM, function_set_for, run_overlap
+
     cfg = _overlap_config(args)
     fnset = function_set_for(args.operation)
     recovery = None
     if args.resilient:
+        from .adcl.resilience import Resilience
+
         recovery = Resilience(deadline=args.deadline)
     elif args.ft:
+        from .adcl.checkpoint import CheckpointStore
+
         recovery = ULFM(
             checkpoint=CheckpointStore(args.checkpoint)
             if args.checkpoint is not None else None,
@@ -810,6 +820,8 @@ def cmd_tune(args) -> int:
         )
     recorder = prev = None
     if args.trace or args.metrics:
+        from .obs.recorder import TraceRecorder, install
+
         recorder = TraceRecorder()
         prev = install(recorder)
     t0 = time.perf_counter()
@@ -852,6 +864,8 @@ def cmd_tune(args) -> int:
         print(f"checkpoints written: {res.checkpoints_written} "
               f"-> {args.checkpoint}")
     if recorder is not None:
+        from .obs.telemetry import correlation_id
+
         _write_obs_outputs(
             args, cfg.describe(),
             [(f"tune:{cfg.operation}", recorder.export_events(),
@@ -873,6 +887,10 @@ def cmd_tune(args) -> int:
 
 
 def cmd_fft(args) -> int:
+    from .apps.fft.kernel import FFTConfig
+    from .bench.parallel import ResultCache, fft_methods
+    from .bench.report import format_table
+
     print(f"3-D FFT N={args.n}^3, P={args.nprocs} on {args.platform}, "
           f"pattern={args.pattern}\n")
     cfg = FFTConfig(
@@ -918,8 +936,8 @@ def _csv(value: Optional[str]) -> Optional[list]:
 
 def _guideline_recheck(args) -> int:
     """``verify-guidelines --recheck``: replay the regression corpus."""
-    from .guidelines import GuidelineEngine, discover_scenarios, \
-        recheck_scenario
+    from .guidelines.checker import GuidelineEngine
+    from .guidelines.scenarios import discover_scenarios, recheck_scenario
 
     scenarios = discover_scenarios(args.recheck)
     if not scenarios:
@@ -946,27 +964,27 @@ def _guideline_recheck(args) -> int:
 
 
 def cmd_verify_guidelines(args) -> int:
-    from .guidelines import (
-        RULES,
-        GuidelineEngine,
-        defect_from_violation,
-        fuzz_probes,
-        minimize_violation,
-        preset_probes,
-        record_defects,
-        rules_by_id,
-        run_campaign,
-        save_scenario,
-        scenario_from_defect,
-        write_defect_reports,
-    )
-    from .obs.audit import AuditLog
+    from .guidelines.rules import RULES, rules_by_id
 
     if args.list_rules:
         print("performance-guideline rule catalogue:")
         for rule in RULES:
             print(f"  {rule.describe()}")
         return 0
+
+    from .bench.parallel import ResultCache
+    from .guidelines.checker import GuidelineEngine, preset_probes
+    from .guidelines.defects import (
+        defect_from_violation,
+        minimize_violation,
+        record_defects,
+        write_defect_reports,
+    )
+    from .guidelines.fuzz import fuzz_probes, run_campaign
+    from .guidelines.scenarios import save_scenario, scenario_from_defect
+    from .obs.audit import AuditLog
+    from .obs.export import build_trace_doc, dump_trace
+    from .sim.platforms import available_platforms
 
     try:
         rule_ids = _csv(args.rules)
@@ -1050,6 +1068,8 @@ def cmd_verify_guidelines(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .obs.report import render_report, validate_or_errors
+
     doc, errors = validate_or_errors(args.path)
     if errors:
         print(f"{args.path}: INVALID trace ({len(errors)} error(s))")
@@ -1064,7 +1084,8 @@ def cmd_report(args) -> int:
     print(render_report(doc, timeline=args.timeline, width=args.width,
                         critical_path=args.critical_path))
     if args.overlay:
-        from .obs import overlay_critical_path
+        from .obs.critpath import overlay_critical_path
+        from .obs.export import dump_trace
 
         dump_trace(overlay_critical_path(doc), args.overlay)
         print(f"\ncritical-path overlay written to {args.overlay}  "
@@ -1075,6 +1096,7 @@ def cmd_report(args) -> int:
 
 def cmd_trace_merge(args) -> int:
     """``trace-merge``: stitch per-process traces into one document."""
+    from .obs.export import dump_trace
     from .obs.schema import validate_trace
     from .obs.telemetry import merge_trace_docs
 

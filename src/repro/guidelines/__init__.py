@@ -23,74 +23,42 @@ CLI: ``repro verify-guidelines`` (exit 0 = compliant, 2 = violations
 found, 1 = the harness itself failed).
 """
 
-from .checker import (
-    GuidelineEngine,
-    PROBE_DEFAULTS,
-    check_kb_records,
-    check_probe,
-    normalize_probe,
-    preset_probes,
-    probe_key,
-)
-from .defects import (
-    GUIDELINE_DEFECT_SCHEMA,
-    defect_from_violation,
-    minimize_violation,
-    record_defects,
-    validate_defect,
-    write_defect_reports,
-)
-from .fuzz import fuzz_probes, run_campaign
-from .mockup import plant_and_select, synthetic_function_set
-from .rules import (
-    RULES,
-    RULE_CATALOGUE,
-    CompositionGuideline,
-    Guideline,
-    MonotonicityGuideline,
-    SelectionMockupGuideline,
-    rules_by_id,
-)
-from .scenarios import (
-    SCENARIO_SCHEMA,
-    discover_scenarios,
-    load_scenario,
-    recheck_scenario,
-    save_scenario,
-    scenario_filename,
-    scenario_from_defect,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GUIDELINE_DEFECT_SCHEMA",
-    "PROBE_DEFAULTS",
-    "RULES",
-    "RULE_CATALOGUE",
-    "SCENARIO_SCHEMA",
-    "CompositionGuideline",
-    "Guideline",
-    "GuidelineEngine",
-    "MonotonicityGuideline",
-    "SelectionMockupGuideline",
-    "check_kb_records",
-    "check_probe",
-    "defect_from_violation",
-    "discover_scenarios",
-    "fuzz_probes",
-    "load_scenario",
-    "minimize_violation",
-    "normalize_probe",
-    "plant_and_select",
-    "preset_probes",
-    "probe_key",
-    "recheck_scenario",
-    "record_defects",
-    "rules_by_id",
-    "run_campaign",
-    "save_scenario",
-    "scenario_filename",
-    "scenario_from_defect",
-    "synthetic_function_set",
-    "validate_defect",
-    "write_defect_reports",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "CompositionGuideline": ".rules",
+    "GUIDELINE_DEFECT_SCHEMA": ".defects",
+    "Guideline": ".rules",
+    "GuidelineEngine": ".checker",
+    "MonotonicityGuideline": ".rules",
+    "PROBE_DEFAULTS": ".checker",
+    "RULES": ".rules",
+    "RULE_CATALOGUE": ".rules",
+    "SCENARIO_SCHEMA": ".scenarios",
+    "SelectionMockupGuideline": ".rules",
+    "check_kb_records": ".checker",
+    "check_probe": ".checker",
+    "defect_from_violation": ".defects",
+    "discover_scenarios": ".scenarios",
+    "fuzz_probes": ".fuzz",
+    "load_scenario": ".scenarios",
+    "minimize_violation": ".defects",
+    "normalize_probe": ".checker",
+    "plant_and_select": ".mockup",
+    "preset_probes": ".checker",
+    "probe_key": ".checker",
+    "recheck_scenario": ".scenarios",
+    "record_defects": ".defects",
+    "rules_by_id": ".rules",
+    "run_campaign": ".fuzz",
+    "save_scenario": ".scenarios",
+    "scenario_filename": ".scenarios",
+    "scenario_from_defect": ".scenarios",
+    "synthetic_function_set": ".mockup",
+    "validate_defect": ".defects",
+    "write_defect_reports": ".defects",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

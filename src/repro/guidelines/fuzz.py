@@ -18,7 +18,7 @@ import random
 from typing import List, Optional, Sequence
 
 from ..bench.parallel import ResultCache, run_tasks, task_key
-from ..sim import available_platforms
+from ..sim.platforms import available_platforms
 from .checker import check_probe, normalize_probe
 from .rules import RULES
 

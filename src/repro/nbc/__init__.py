@@ -13,125 +13,70 @@ progress engine.  This package re-implements that design:
 * :mod:`repro.nbc.coll` — one-call entry points and blocking wrappers.
 """
 
-from .coll import (
-    allgather,
-    alltoall,
-    barrier,
-    bcast,
-    reduce,
-    start_iallgather,
-    start_iallgatherv,
-    start_iallreduce,
-    start_ialltoall,
-    start_ibarrier,
-    start_ibcast,
-    start_ireduce,
-    start_ireduce_scatter,
-)
-from .ft import ft_collective
-from .hier import (
-    build_hier_ialltoall,
-    build_hier_ibcast,
-    compiled_hier_ialltoall,
-    compiled_hier_ibcast,
-    groups_for_comm,
-    hier_alltoall_scratch_bytes,
-    hier_bcast_tree,
-)
-from .iallgather import ALLGATHER_ALGORITHMS, build_iallgather, compiled_iallgather
-from .iallgatherv import (
-    ALLGATHERV_ALGORITHMS,
-    balanced_counts,
-    build_iallgatherv,
-    compiled_iallgatherv,
-)
-from .iallreduce import ALLREDUCE_ALGORITHMS, build_iallreduce, compiled_iallreduce
-from .ialltoall import (
-    ALLTOALL_ALGORITHMS,
-    alltoall_scratch_bytes,
-    build_ialltoall,
-    compiled_ialltoall,
-)
-from .ibcast import BINOMIAL, IBCAST_FANOUTS, bcast_tree, build_ibcast, compiled_ibcast
-from .ireduce import REDUCE_ALGORITHMS, build_ireduce, compiled_ireduce
-from .ireduce_scatter import (
-    REDUCE_SCATTER_ALGORITHMS,
-    build_ireduce_scatter,
-    compiled_ireduce_scatter,
-)
-from .request import NBCRequest, make_buffers
-from .schedule import (
-    SCHEDULE_CACHE,
-    BufSpec,
-    CombineOp,
-    CompiledSchedule,
-    CopyOp,
-    RecvOp,
-    Schedule,
-    ScheduleCache,
-    SendOp,
-    resolve,
-    schedule_cache_stats,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALLGATHER_ALGORITHMS",
-    "ALLGATHERV_ALGORITHMS",
-    "ALLREDUCE_ALGORITHMS",
-    "ALLTOALL_ALGORITHMS",
-    "BINOMIAL",
-    "BufSpec",
-    "CombineOp",
-    "CompiledSchedule",
-    "CopyOp",
-    "IBCAST_FANOUTS",
-    "NBCRequest",
-    "RecvOp",
-    "REDUCE_ALGORITHMS",
-    "REDUCE_SCATTER_ALGORITHMS",
-    "SCHEDULE_CACHE",
-    "Schedule",
-    "ScheduleCache",
-    "SendOp",
-    "allgather",
-    "alltoall",
-    "alltoall_scratch_bytes",
-    "balanced_counts",
-    "barrier",
-    "bcast",
-    "bcast_tree",
-    "build_hier_ialltoall",
-    "build_hier_ibcast",
-    "build_iallgather",
-    "build_iallgatherv",
-    "build_iallreduce",
-    "build_ialltoall",
-    "build_ibcast",
-    "build_ireduce",
-    "build_ireduce_scatter",
-    "compiled_hier_ialltoall",
-    "compiled_hier_ibcast",
-    "compiled_iallgather",
-    "compiled_iallgatherv",
-    "compiled_iallreduce",
-    "compiled_ialltoall",
-    "compiled_ibcast",
-    "compiled_ireduce",
-    "compiled_ireduce_scatter",
-    "ft_collective",
-    "groups_for_comm",
-    "hier_alltoall_scratch_bytes",
-    "hier_bcast_tree",
-    "make_buffers",
-    "reduce",
-    "resolve",
-    "schedule_cache_stats",
-    "start_iallgather",
-    "start_iallgatherv",
-    "start_iallreduce",
-    "start_ialltoall",
-    "start_ibarrier",
-    "start_ibcast",
-    "start_ireduce",
-    "start_ireduce_scatter",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "ALLGATHERV_ALGORITHMS": ".iallgatherv",
+    "ALLGATHER_ALGORITHMS": ".iallgather",
+    "ALLREDUCE_ALGORITHMS": ".iallreduce",
+    "ALLTOALL_ALGORITHMS": ".ialltoall",
+    "BINOMIAL": ".ibcast",
+    "BufSpec": ".schedule",
+    "CombineOp": ".schedule",
+    "CompiledSchedule": ".schedule",
+    "CopyOp": ".schedule",
+    "IBCAST_FANOUTS": ".ibcast",
+    "NBCRequest": ".request",
+    "REDUCE_ALGORITHMS": ".ireduce",
+    "REDUCE_SCATTER_ALGORITHMS": ".ireduce_scatter",
+    "RecvOp": ".schedule",
+    "SCHEDULE_CACHE": ".schedule",
+    "Schedule": ".schedule",
+    "ScheduleCache": ".schedule",
+    "SendOp": ".schedule",
+    "allgather": ".coll",
+    "alltoall": ".coll",
+    "alltoall_scratch_bytes": ".ialltoall",
+    "balanced_counts": ".iallgatherv",
+    "barrier": ".coll",
+    "bcast": ".coll",
+    "bcast_tree": ".ibcast",
+    "build_hier_ialltoall": ".hier",
+    "build_hier_ibcast": ".hier",
+    "build_iallgather": ".iallgather",
+    "build_iallgatherv": ".iallgatherv",
+    "build_iallreduce": ".iallreduce",
+    "build_ialltoall": ".ialltoall",
+    "build_ibcast": ".ibcast",
+    "build_ireduce": ".ireduce",
+    "build_ireduce_scatter": ".ireduce_scatter",
+    "compiled_hier_ialltoall": ".hier",
+    "compiled_hier_ibcast": ".hier",
+    "compiled_iallgather": ".iallgather",
+    "compiled_iallgatherv": ".iallgatherv",
+    "compiled_iallreduce": ".iallreduce",
+    "compiled_ialltoall": ".ialltoall",
+    "compiled_ibcast": ".ibcast",
+    "compiled_ireduce": ".ireduce",
+    "compiled_ireduce_scatter": ".ireduce_scatter",
+    "ft_collective": ".ft",
+    "groups_for_comm": ".hier",
+    "hier_alltoall_scratch_bytes": ".hier",
+    "hier_bcast_tree": ".hier",
+    "make_buffers": ".request",
+    "reduce": ".coll",
+    "resolve": ".schedule",
+    "schedule_cache_stats": ".schedule",
+    "start_iallgather": ".coll",
+    "start_iallgatherv": ".coll",
+    "start_iallreduce": ".coll",
+    "start_ialltoall": ".coll",
+    "start_ibarrier": ".coll",
+    "start_ibcast": ".coll",
+    "start_ireduce": ".coll",
+    "start_ireduce_scatter": ".coll",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

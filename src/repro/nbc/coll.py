@@ -15,9 +15,7 @@ data; omit them for size-only performance runs.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import Wait
@@ -35,8 +33,11 @@ from .iallreduce import compiled_iallreduce
 from .ibcast import BINOMIAL, compiled_ibcast
 from .ireduce import compiled_ireduce
 from .ireduce_scatter import compiled_ireduce_scatter
-from .request import NBCRequest, make_buffers
+from .request import NBCRequest, make_buffers, scratch_buffer
 from .schedule import SCHEDULE_CACHE, Schedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "start_ialltoall",
@@ -91,7 +92,7 @@ def start_ialltoall(
     if sendbuf is not None or recvbuf is not None:
         buffers = make_buffers(send=sendbuf, recv=recvbuf)
         for name, nbytes in scratch.items():
-            buffers[name] = np.empty(nbytes, dtype=np.uint8)
+            buffers[name] = scratch_buffer(nbytes)
     return NBCRequest(sched, comm, rank, buffers).start(ctx)
 
 
@@ -155,8 +156,8 @@ def start_ireduce(
     buffers = None
     if buf is not None:
         buffers = make_buffers(data=buf)
-        buffers["acc"] = np.empty(nbytes, dtype=np.uint8)
-        buffers["in"] = np.empty(nbytes, dtype=np.uint8)
+        buffers["acc"] = scratch_buffer(nbytes)
+        buffers["in"] = scratch_buffer(nbytes)
     return NBCRequest(sched, comm, rank, buffers).start(ctx)
 
 
@@ -200,8 +201,8 @@ def start_ireduce_scatter(
     buffers = None
     if sendbuf is not None or recvbuf is not None:
         buffers = make_buffers(data=sendbuf, recv=recvbuf)
-        buffers["acc"] = np.empty(comm.size * m, dtype=np.uint8)
-        buffers["in"] = np.empty(comm.size * m, dtype=np.uint8)
+        buffers["acc"] = scratch_buffer(comm.size * m)
+        buffers["in"] = scratch_buffer(comm.size * m)
     return NBCRequest(sched, comm, rank, buffers).start(ctx)
 
 
@@ -223,8 +224,8 @@ def start_iallreduce(
     buffers = None
     if buf is not None:
         buffers = make_buffers(data=buf)
-        buffers["acc"] = np.empty(nbytes, dtype=np.uint8)
-        buffers["in"] = np.empty(nbytes, dtype=np.uint8)
+        buffers["acc"] = scratch_buffer(nbytes)
+        buffers["in"] = scratch_buffer(nbytes)
     return NBCRequest(sched, comm, rank, buffers).start(ctx)
 
 

@@ -23,8 +23,6 @@ tests should use integer-valued payloads.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ScheduleError
 from .hier import Groups, hier_bcast_tree, validate_groups
 from .iallgatherv import balanced_counts
@@ -104,10 +102,23 @@ def _tree(size: int, rank: int, parent: int, children: list[int],
     return sched
 
 
+#: element sizes of the usual reduction dtypes (others ask numpy)
+_ITEMSIZE = {"float64": 8, "float32": 4, "int64": 8, "int32": 4}
+
+
+def _itemsize(dtype: str) -> int:
+    size = _ITEMSIZE.get(dtype)
+    if size is None:
+        import numpy as np
+
+        size = np.dtype(dtype).itemsize
+    return size
+
+
 def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
     # block boundaries must fall on element boundaries or the combines
     # would split a value in half
-    item = np.dtype(dtype).itemsize
+    item = _itemsize(dtype)
     if nbytes % item:
         raise ScheduleError(
             f"allreduce payload {nbytes} not a multiple of {dtype} size")

@@ -19,16 +19,17 @@ in single-threaded MPI libraries.
 
 from __future__ import annotations
 
-from typing import Union, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..errors import CommRevokedError, ScheduleError
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import RecvRequest, Waitable
 from .schedule import CompiledSchedule, Schedule, resolve
 
-__all__ = ["NBCRequest", "make_buffers"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["NBCRequest", "make_buffers", "scratch_buffer"]
 
 
 def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:
@@ -38,10 +39,13 @@ def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:
     (so schedule byte-range specs apply uniformly); ``None`` values are
     kept as placeholders.
 
+    >>> import numpy as np
     >>> bufs = make_buffers(send=np.zeros(4), recv=np.zeros(4))
     >>> bufs["send"].dtype
     dtype('uint8')
     """
+    import numpy as np
+
     out: dict[str, Optional[np.ndarray]] = {}
     for name, arr in arrays.items():
         if arr is None:
@@ -53,6 +57,13 @@ def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:
                 raise ScheduleError(f"buffer {name!r} must be C-contiguous")
             out[name] = arr.reshape(-1).view(np.uint8)
     return out
+
+
+def scratch_buffer(nbytes: int) -> np.ndarray:
+    """An uninitialised ``uint8`` buffer for a schedule's scratch space."""
+    import numpy as np
+
+    return np.empty(nbytes, dtype=np.uint8)
 
 
 class NBCRequest(Waitable):

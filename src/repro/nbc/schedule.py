@@ -35,11 +35,13 @@ expose ``compiled_*`` entry points that go through the process-global
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import ScheduleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BufSpec",
@@ -140,11 +142,12 @@ class CombineOp:
     __slots__ = ("nbytes", "src", "dst", "dtype", "op")
     kind = "combine"
 
+    #: reduction op -> the numpy ufunc applying it
     _OPS = {
-        "sum": np.add,
-        "prod": np.multiply,
-        "max": np.maximum,
-        "min": np.minimum,
+        "sum": "add",
+        "prod": "multiply",
+        "max": "maximum",
+        "min": "minimum",
     }
 
     def __init__(self, nbytes: int, src: Optional[BufSpec], dst: Optional[BufSpec],
@@ -161,10 +164,19 @@ class CombineOp:
         """Perform the combine on resolved uint8 views."""
         a = dst_view.view(self.dtype)
         b = src_view.view(self.dtype)
-        self._OPS[self.op](a, b, out=a)
+        _ufunc(self.op)(a, b, out=a)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Combine({self.op}, {self.nbytes}B, {self.dtype})"
+
+
+@lru_cache(maxsize=None)
+def _ufunc(op: str):
+    """The numpy ufunc of a :class:`CombineOp` reduction, resolved once
+    (payload runs only, so size-only runs never import numpy)."""
+    import numpy as np
+
+    return getattr(np, CombineOp._OPS[op])
 
 
 class Schedule:

@@ -11,69 +11,41 @@ path costs a single ``is not None`` test.
 See DESIGN.md §11 for the architecture and the event taxonomy.
 """
 
-from .audit import AuditLog
-from .critpath import (
-    analyze,
-    attach_explanations,
-    overlay_critical_path,
-    render_critical_path,
-)
-from .export import (
-    build_trace_doc,
-    dump_trace,
-    render_timeline,
-    trace_to_bytes,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_snapshots
-from .recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    TraceRecorder,
-    get_recorder,
-    install,
-    recording,
-    uninstall,
-)
-from .report import render_report
-from .schema import TRACE_SCHEMA_VERSION, validate_trace
-from .telemetry import (
-    TelemetryServer,
-    correlation_id,
-    merge_trace_docs,
-    parse_exposition,
-    render_exposition,
-    scrape,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AuditLog",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "TRACE_SCHEMA_VERSION",
-    "TelemetryServer",
-    "TraceRecorder",
-    "analyze",
-    "attach_explanations",
-    "build_trace_doc",
-    "correlation_id",
-    "dump_trace",
-    "get_recorder",
-    "install",
-    "merge_snapshots",
-    "merge_trace_docs",
-    "overlay_critical_path",
-    "parse_exposition",
-    "recording",
-    "render_critical_path",
-    "render_exposition",
-    "render_report",
-    "render_timeline",
-    "scrape",
-    "trace_to_bytes",
-    "uninstall",
-    "validate_trace",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "AuditLog": ".audit",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "NULL_RECORDER": ".recorder",
+    "NullRecorder": ".recorder",
+    "TRACE_SCHEMA_VERSION": ".schema",
+    "TelemetryServer": ".telemetry",
+    "TraceRecorder": ".recorder",
+    "analyze": ".critpath",
+    "attach_explanations": ".critpath",
+    "build_trace_doc": ".export",
+    "correlation_id": ".telemetry",
+    "dump_trace": ".export",
+    "get_recorder": ".recorder",
+    "install": ".recorder",
+    "merge_snapshots": ".metrics",
+    "merge_trace_docs": ".telemetry",
+    "overlay_critical_path": ".critpath",
+    "parse_exposition": ".telemetry",
+    "recording": ".recorder",
+    "render_critical_path": ".critpath",
+    "render_exposition": ".telemetry",
+    "render_report": ".report",
+    "render_timeline": ".export",
+    "scrape": ".telemetry",
+    "trace_to_bytes": ".export",
+    "uninstall": ".recorder",
+    "validate_trace": ".schema",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -16,37 +16,29 @@ See DESIGN.md §13 for the WAL format, shard layout, degradation
 ladder and failure matrix.
 """
 
-from .breaker import CircuitBreaker, RetuneScheduler
-from .client import ServiceHistory, TuningClient
-from .coalesce import Coalescer, LRUCache
-from .core import (
-    REQUEST_DEFAULTS,
-    compute_decision,
-    history_key,
-    normalize_request,
-    request_key,
-)
-from .server import PROTOCOL_VERSION, ServeConfig, TuningServer
-from .shards import KnowledgeBase, Shard
-from .wal import WriteAheadLog, replay_wal
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CircuitBreaker",
-    "Coalescer",
-    "KnowledgeBase",
-    "LRUCache",
-    "PROTOCOL_VERSION",
-    "REQUEST_DEFAULTS",
-    "RetuneScheduler",
-    "ServeConfig",
-    "ServiceHistory",
-    "Shard",
-    "TuningClient",
-    "TuningServer",
-    "WriteAheadLog",
-    "compute_decision",
-    "history_key",
-    "normalize_request",
-    "replay_wal",
-    "request_key",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "CircuitBreaker": ".breaker",
+    "Coalescer": ".coalesce",
+    "KnowledgeBase": ".shards",
+    "LRUCache": ".coalesce",
+    "PROTOCOL_VERSION": ".server",
+    "REQUEST_DEFAULTS": ".core",
+    "RetuneScheduler": ".breaker",
+    "ServeConfig": ".server",
+    "ServiceHistory": ".client",
+    "Shard": ".shards",
+    "TuningClient": ".client",
+    "TuningServer": ".server",
+    "WriteAheadLog": ".wal",
+    "compute_decision": ".core",
+    "history_key": ".core",
+    "normalize_request": ".core",
+    "replay_wal": ".wal",
+    "request_key": ".core",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

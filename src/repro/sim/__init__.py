@@ -10,62 +10,42 @@ Public entry points:
   used by rank programs.
 """
 
-from .engine import Event, Simulator
-from .faults import (
-    DropRule,
-    FaultInjector,
-    FaultPlan,
-    LinkDegradation,
-    RailFailure,
-    RankCrash,
-)
-from .mpi import MPIContext, RunResult, SimComm, SimWorld
-from .netmodel import LinkParams, MachineParams
-from .noise import NoiseModel, NullNoise
-from .platforms import Platform, available_platforms, get_platform, register_platform
-from .process import (
-    Barrier,
-    Compute,
-    ComputeProgressSpan,
-    Progress,
-    RecvRequest,
-    SendRequest,
-    Wait,
-    Waitable,
-)
-from .topology import Topology
-from .trace import MessageRecord, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Barrier",
-    "Compute",
-    "ComputeProgressSpan",
-    "DropRule",
-    "Event",
-    "FaultInjector",
-    "FaultPlan",
-    "LinkDegradation",
-    "LinkParams",
-    "RailFailure",
-    "RankCrash",
-    "MachineParams",
-    "MPIContext",
-    "MessageRecord",
-    "NoiseModel",
-    "NullNoise",
-    "Platform",
-    "Progress",
-    "RecvRequest",
-    "RunResult",
-    "SendRequest",
-    "SimComm",
-    "SimWorld",
-    "Simulator",
-    "Topology",
-    "Tracer",
-    "Wait",
-    "Waitable",
-    "available_platforms",
-    "get_platform",
-    "register_platform",
-]
+#: public name -> submodule defining it, imported on first use
+_EXPORTS = {
+    "Barrier": ".process",
+    "Compute": ".process",
+    "ComputeProgressSpan": ".process",
+    "DropRule": ".faults",
+    "Event": ".engine",
+    "FaultInjector": ".faults",
+    "FaultPlan": ".faults",
+    "LinkDegradation": ".faults",
+    "LinkParams": ".netmodel",
+    "MPIContext": ".mpi",
+    "MachineParams": ".netmodel",
+    "MessageRecord": ".trace",
+    "NoiseModel": ".noise",
+    "NullNoise": ".noise",
+    "Platform": ".platforms",
+    "Progress": ".process",
+    "RailFailure": ".faults",
+    "RankCrash": ".faults",
+    "RecvRequest": ".process",
+    "RunResult": ".mpi",
+    "SendRequest": ".process",
+    "SimComm": ".mpi",
+    "SimWorld": ".mpi",
+    "Simulator": ".engine",
+    "Topology": ".topology",
+    "Tracer": ".trace",
+    "Wait": ".process",
+    "Waitable": ".process",
+    "available_platforms": ".platforms",
+    "get_platform": ".platforms",
+    "register_platform": ".platforms",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from heapq import heappush as _heappush
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 from ..errors import (
     CommRevokedError,
@@ -474,10 +473,15 @@ class MPIContext:
                 f"rank {self.rank}: isend on revoked communicator {comm.comm_id}"
             )
         if data is not None:
-            if nbytes is None:
-                nbytes = data.nbytes if isinstance(data, np.ndarray) else len(data)
-            if isinstance(data, np.ndarray):
+            # an ndarray implies numpy is loaded: size-only and bytes
+            # payloads never import it
+            np = sys.modules.get("numpy")
+            if np is not None and isinstance(data, np.ndarray):
+                if nbytes is None:
+                    nbytes = data.nbytes
                 data = data.copy()
+            elif nbytes is None:
+                nbytes = len(data)
         elif nbytes is None:
             raise SimulationError("isend needs nbytes or data")
         wdst = comm.world_rank(dest)

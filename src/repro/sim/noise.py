@@ -14,14 +14,13 @@ seeded, reproducible model:
   stealing the core mid-measurement.
 
 A ``sigma`` of 0 and ``outlier_prob`` of 0 gives a perfectly
-deterministic simulation, which the unit tests rely on.
+deterministic simulation, which the unit tests rely on.  Such a model
+never draws, so it builds no generator and never imports numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["NoiseModel", "NullNoise"]
 
@@ -62,9 +61,13 @@ class NoiseModel:
             raise ValueError("outlier_prob must be in [0, 1]")
         if self.outlier_lo > self.outlier_hi:
             raise ValueError("outlier_lo must be <= outlier_hi")
-        self._rng = np.random.default_rng(self.seed)
         # hot-path flag: perturb() runs once per simulated duration
         self._deterministic = self.sigma == 0.0 and self.outlier_prob == 0.0
+        if self._deterministic:
+            return  # never draws: no generator to build
+        import numpy as np
+
+        self._rng = np.random.default_rng(self.seed)
         # bound methods, bypassing two attribute lookups per draw.
         # standard_normal()*sigma is bit-identical to normal(0, sigma)
         # (the latter computes loc + scale*standard_normal internally)
